@@ -5,6 +5,7 @@
 
 use crate::element::ScanElem;
 use crate::error::{Error, Result};
+use crate::multi_split::{compact, pack_by};
 use crate::op::ScanOp;
 use crate::parallel;
 use crate::scan::reduce;
@@ -239,6 +240,9 @@ pub fn try_gather<T: ScanElem>(a: &[T], indices: &[usize]) -> Result<Vec<T>> {
 /// assert_eq!(split(&a, &f), vec![4, 2, 2, 5, 7, 3, 1, 7]);
 /// ```
 ///
+/// Runs fused on the blocked compaction kernel; see [`split_count`]
+/// for how that relates to the paper's construction and step charges.
+///
 /// # Panics
 /// If lengths differ. See [`try_split`] for the checked form.
 pub fn split<T: ScanElem>(a: &[T], flags: &[bool]) -> Vec<T> {
@@ -265,23 +269,17 @@ pub fn try_split_count<T: ScanElem>(a: &[T], flags: &[bool]) -> Result<(Vec<T>, 
 
 /// [`split`], also returning the number of `false` elements (the index
 /// where the `true` group begins).
+///
+/// Runs on the blocked compaction kernel (one count pass, one scan of
+/// the per-block bucket counts, one scatter straight into the output)
+/// instead of Figure 3's two enumerates, index arithmetic and permute.
+/// The result is the same stable split; `scan_pram::Ctx::split` still
+/// charges the paper's 2 scans, 3 elementwise steps and 1 permute,
+/// because fusion changes the execution, not the scan-model algorithm.
 pub fn split_count<T: ScanElem>(a: &[T], flags: &[bool]) -> (Vec<T>, usize) {
     assert_eq!(a.len(), flags.len(), "split length mismatch");
-    let n = a.len();
-    if n == 0 {
-        return (Vec::new(), 0);
-    }
-    // Fused: the negated 0/1 flags are loaded inside the scans, so
-    // neither `not_flags` nor a ones vector is materialized.
-    let (i_down, n_false) = index_sum_scan(
-        flags.len(),
-        |i| usize::from(!flags[i]),
-        parallel::Mode::ExclusiveFwd,
-    );
-    let i_up = back_enumerate(flags);
-    // Figure 3: I-up = n - back-enumerate(Flags) - 1
-    let index = parallel::tabulate_by(n, |i| if flags[i] { n - i_up[i] - 1 } else { i_down[i] });
-    (permute_unchecked(a, &index), n_false)
+    let (out, [n_false, _]) = compact(flags, |i| a[i]);
+    (out, n_false)
 }
 
 /// Destination index of each element under [`split`] without moving
@@ -298,7 +296,8 @@ pub fn split_index(flags: &[bool]) -> Vec<usize> {
     parallel::tabulate_by(n, |i| if flags[i] { n - i_up[i] - 1 } else { i_down[i] })
 }
 
-/// Three-way split keys for [`split3`].
+/// Three-way split keys for [`split3`], declared in output order (the
+/// compaction kernel uses the discriminant as the bucket).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bucket {
     /// Goes to the bottom group.
@@ -326,64 +325,35 @@ pub fn try_split3<T: ScanElem>(a: &[T], buckets: &[Bucket]) -> Result<(Vec<T>, u
 /// then `Mid`, then `Hi`, each group in original order. Returns the
 /// permuted vector and the sizes of the `Lo` and `Mid` groups.
 ///
+/// Runs on the blocked compaction kernel, like [`split_count`]; the
+/// group sizes are its bucket totals. `scan_pram::Ctx::split3` still
+/// charges 3 scans, 4 elementwise steps and 1 permute: the per-bucket
+/// enumerate schedule that the kernel fuses.
+///
 /// # Panics
 /// If lengths differ. See [`try_split3`] for the checked form.
 pub fn split3<T: ScanElem>(a: &[T], buckets: &[Bucket]) -> (Vec<T>, usize, usize) {
     assert_eq!(a.len(), buckets.len(), "split3 length mismatch");
-    let index = split3_index(buckets);
-    let n_lo = buckets.iter().filter(|&&b| b == Bucket::Lo).count();
-    let n_mid = buckets.iter().filter(|&&b| b == Bucket::Mid).count();
-    (permute_unchecked(a, &index), n_lo, n_mid)
-}
-
-/// Destination index of each element under [`split3`].
-pub fn split3_index(buckets: &[Bucket]) -> Vec<usize> {
-    let count_of = |want: Bucket| {
-        index_sum_scan(
-            buckets.len(),
-            |i| usize::from(buckets[i] == want),
-            parallel::Mode::ExclusiveFwd,
-        )
-    };
-    let (lo_scan, n_lo) = count_of(Bucket::Lo);
-    let (mid_scan, n_mid) = count_of(Bucket::Mid);
-    let (hi_scan, _) = count_of(Bucket::Hi);
-    parallel::tabulate_by(buckets.len(), |i| match buckets[i] {
-        Bucket::Lo => lo_scan[i],
-        Bucket::Mid => n_lo + mid_scan[i],
-        Bucket::Hi => n_lo + n_mid + hi_scan[i],
-    })
+    let (out, [n_lo, n_mid, _]) = compact(buckets, |i| a[i]);
+    (out, n_lo, n_mid)
 }
 
 /// The `pack` operation (§2.5, Figure 11): keep only the elements whose
 /// flag is `true`, preserving order, in a vector of exactly that length.
 ///
-/// Implemented with an `enumerate` and a permute into the shorter
-/// vector, as the paper's load balancing does.
+/// The paper packs with an `enumerate` and a permute into the shorter
+/// vector. This runs the same step on the blocked compaction kernel:
+/// count the kept elements per block, scan those counts, and copy each
+/// block's kept elements straight to their place. There is no index
+/// vector, and the dropped elements get no place in the output. `scan_pram::Ctx::pack`
+/// still charges 1 scan, 1 elementwise step and 1 permute, because
+/// fusion changes the execution, not the scan-model algorithm.
 ///
 /// # Panics
 /// If lengths differ. See [`try_pack`] for the checked form.
 pub fn pack<T: ScanElem>(a: &[T], keep: &[bool]) -> Vec<T> {
     assert_eq!(a.len(), keep.len(), "pack length mismatch");
-    // Fused enumerate-with-total: one pass, no 0/1 vector.
-    let (dest, total) = index_sum_scan(
-        keep.len(),
-        |i| usize::from(keep[i]),
-        parallel::Mode::ExclusiveFwd,
-    );
-    let mut out: Vec<T> = Vec::with_capacity(total);
-    // SAFETY: `enumerate` assigns the kept elements the distinct indices
-    // 0..total in order, so every slot is written exactly once.
-    unsafe {
-        let p = out.as_mut_ptr();
-        for i in 0..a.len() {
-            if keep[i] {
-                p.add(dest[i]).write(a[i]);
-            }
-        }
-        out.set_len(total);
-    }
-    out
+    pack_by(keep, |i| a[i])
 }
 
 /// Checked [`pack`]: `Err(Error::LengthMismatch)` instead of panicking.
@@ -400,8 +370,7 @@ pub fn try_pack<T: ScanElem>(a: &[T], keep: &[bool]) -> Result<Vec<T>> {
 
 /// Indices (into the original vector) of the kept elements, in order.
 pub fn pack_indices(keep: &[bool]) -> Vec<usize> {
-    let idx: Vec<usize> = (0..keep.len()).collect();
-    pack(&idx, keep)
+    pack_by(keep, |i| i)
 }
 
 /// Merge two vectors under the direction of a *merge-flag vector*

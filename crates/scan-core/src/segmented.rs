@@ -189,6 +189,10 @@ impl Segments {
 /// blocked parallel engine as plain scans — this is also how the
 /// hardware implements segmented scans "with little additional
 /// hardware" (§3, citing \[7]).
+///
+/// The engine folds the pairs with this scalar operator on every ISA:
+/// an AVX2 pair tile measured slower at every size, operator and
+/// element type tried (DESIGN §14).
 #[inline(always)]
 pub fn seg_combine<O: ScanOp<T>, T: ScanElem>(a: (T, bool), b: (T, bool)) -> (T, bool) {
     if b.1 {
@@ -229,7 +233,7 @@ pub fn seg_scan<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -> Vec<T> {
         seg_combine::<O, T>,
         |i, s: (T, bool)| if segs.is_head(i) { O::identity() } else { s.0 },
         parallel::Mode::ExclusiveFwd,
-        O::simd_seg_tile(),
+        None,
     )
     .0
 }
@@ -254,7 +258,7 @@ pub fn try_seg_scan<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -> crat
         seg_combine::<O, T>,
         |i, s: (T, bool)| if segs.is_head(i) { O::identity() } else { s.0 },
         parallel::Mode::ExclusiveFwd,
-        O::simd_seg_tile(),
+        None,
         d.as_ref(),
     )?;
     Ok(out)
@@ -274,7 +278,7 @@ pub fn seg_inclusive_scan<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -
         seg_combine::<O, T>,
         |_, s: (T, bool)| s.0,
         parallel::Mode::InclusiveFwd,
-        O::simd_seg_tile(),
+        None,
     )
     .0
 }
@@ -300,7 +304,7 @@ pub fn seg_scan_backward<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) ->
         seg_combine::<O, T>,
         |i, s: (T, bool)| if is_tail(segs, i) { O::identity() } else { s.0 },
         parallel::Mode::ExclusiveBwd,
-        O::simd_seg_tile(),
+        None,
     )
     .0
 }
@@ -323,7 +327,7 @@ pub fn seg_inclusive_scan_backward<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Se
         seg_combine::<O, T>,
         |_, s: (T, bool)| s.0,
         parallel::Mode::InclusiveBwd,
-        O::simd_seg_tile(),
+        None,
     )
     .0
 }

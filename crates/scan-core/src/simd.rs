@@ -311,115 +311,6 @@ mod avx2 {
         i64::MIN,
         |a: i64, b: i64| a.max(b)
     );
-
-    macro_rules! seg_scan_kernel {
-        ($fwd:ident, $t:ty, $comb:ident, $id:expr, $sop:expr) => {
-            /// Seeded in-place segmented scan of one tile of
-            /// `(value, head-flag)` pairs; returns the carry-out pair.
-            /// Pairs are staged through 4-lane stack arrays because the
-            /// tuple layout is unspecified (no direct SIMD loads).
-            #[target_feature(enable = "avx2")]
-            pub(super) fn $fwd(
-                buf: &mut [($t, bool)],
-                carry: ($t, bool),
-                inclusive: bool,
-            ) -> ($t, bool) {
-                let m = buf.len();
-                if m == 0 {
-                    return carry;
-                }
-                let carry_in = carry;
-                let idv = _mm256_set1_epi64x($id as i64);
-                let zero = _mm256_setzero_si256();
-                let mut carry_v = _mm256_set1_epi64x(carry.0 as i64);
-                let mut carry_f = _mm256_set1_epi64x(if carry.1 { -1 } else { 0 });
-                let mut lanes = [0i64; 4];
-                let mut fmask = [0i64; 4];
-                let mut j = 0usize;
-                while j + 4 <= m {
-                    for k in 0..4 {
-                        let (v, fl) = buf[j + k];
-                        lanes[k] = v as i64;
-                        fmask[k] = if fl { -1 } else { 0 };
-                    }
-                    // SAFETY: `lanes`/`fmask` are 4-lane stack arrays;
-                    // the unaligned loads/stores stay inside them.
-                    unsafe {
-                        let v = _mm256_loadu_si256(lanes.as_ptr().cast());
-                        let f = _mm256_loadu_si256(fmask.as_ptr().cast());
-                        // Flag-gated Hillis–Steele, distances 1 and 2:
-                        // a lane whose accumulated flag is set has hit
-                        // its segment head and stops absorbing.
-                        let v1 = _mm256_blendv_epi8($comb(shift1(v, idv), v), v, f);
-                        let f1 = _mm256_or_si256(f, shift1(f, zero));
-                        let v2 = _mm256_blendv_epi8($comb(shift2(v1, idv), v1), v1, f1);
-                        let f2 = _mm256_or_si256(f1, shift2(f1, zero));
-                        // Fold in the running carry pair.
-                        let outv = _mm256_blendv_epi8($comb(carry_v, v2), v2, f2);
-                        let outf = _mm256_or_si256(f2, carry_f);
-                        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), outv);
-                        _mm256_storeu_si256(fmask.as_mut_ptr().cast(), outf);
-                        carry_v = _mm256_permute4x64_epi64::<0xFF>(outv);
-                        carry_f = _mm256_permute4x64_epi64::<0xFF>(outf);
-                    }
-                    for k in 0..4 {
-                        buf[j + k] = (lanes[k] as $t, fmask[k] != 0);
-                    }
-                    j += 4;
-                }
-                let mut acc = if j == 0 {
-                    carry_in
-                } else {
-                    (
-                        _mm256_extract_epi64::<0>(carry_v) as $t,
-                        _mm256_extract_epi64::<0>(carry_f) != 0,
-                    )
-                };
-                while j < m {
-                    acc = ($sop)(acc, buf[j]);
-                    buf[j] = acc;
-                    j += 1;
-                }
-                if !inclusive {
-                    buf.copy_within(0..m - 1, 1);
-                    buf[0] = carry_in;
-                }
-                acc
-            }
-        };
-    }
-
-    macro_rules! seg_sum_op {
-        ($t:ty) => {
-            |a: ($t, bool), b: ($t, bool)| {
-                if b.1 {
-                    b
-                } else {
-                    (a.0.wrapping_add(b.0), a.1)
-                }
-            }
-        };
-    }
-    macro_rules! seg_max_op {
-        ($t:ty) => {
-            |a: ($t, bool), b: ($t, bool)| {
-                if b.1 {
-                    b
-                } else {
-                    (a.0.max(b.0), a.1)
-                }
-            }
-        };
-    }
-
-    seg_scan_kernel!(seg_sum_u64, u64, add64, 0u64, seg_sum_op!(u64));
-    seg_scan_kernel!(seg_sum_usize, usize, add64, 0u64, seg_sum_op!(usize));
-    seg_scan_kernel!(seg_sum_i64, i64, add64, 0u64, seg_sum_op!(i64));
-    seg_scan_kernel!(seg_sum_isize, isize, add64, 0u64, seg_sum_op!(isize));
-    seg_scan_kernel!(seg_max_u64, u64, maxu64, 0u64, seg_max_op!(u64));
-    seg_scan_kernel!(seg_max_usize, usize, maxu64, 0u64, seg_max_op!(usize));
-    seg_scan_kernel!(seg_max_i64, i64, maxi64, i64::MIN, seg_max_op!(i64));
-    seg_scan_kernel!(seg_max_isize, isize, maxi64, i64::MIN, seg_max_op!(isize));
 }
 
 // ---------------------------------------------------------------------------
@@ -477,43 +368,6 @@ macro_rules! plain_tile {
     };
 }
 
-macro_rules! seg_tile {
-    ($getter:ident, $wf:ident, $wb:ident, $wr:ident, $t:ty, $core_fwd:path, $sop:expr) => {
-        fn $wf(buf: &mut [($t, bool)], carry: ($t, bool), inclusive: bool) -> ($t, bool) {
-            #[cfg(target_arch = "x86_64")]
-            if active_isa() == Isa::Avx2 {
-                // SAFETY: AVX2 availability was just checked — the
-                // kernel's only obligation (it touches no caller memory
-                // beyond the pair slice it is handed).
-                unsafe {
-                    return $core_fwd(buf, carry, inclusive);
-                }
-            }
-            scalar_scan(buf, carry, inclusive, $sop)
-        }
-        fn $wb(buf: &mut [($t, bool)], carry: ($t, bool), inclusive: bool) -> ($t, bool) {
-            buf.reverse();
-            let c = $wf(buf, carry, inclusive);
-            buf.reverse();
-            c
-        }
-        fn $wr(buf: &[($t, bool)], carry: ($t, bool)) -> ($t, bool) {
-            // Pair reductions only feed the two-pass up sweep; the
-            // scalar fold is exact and cheap relative to the emit pass.
-            scalar_reduce(buf, carry, $sop)
-        }
-        /// Segmented-pair tile kernels for this operator/element pair.
-        pub(crate) fn $getter() -> Option<&'static SimdTile<($t, bool)>> {
-            static T: SimdTile<($t, bool)> = SimdTile {
-                fwd: $wf,
-                bwd: $wb,
-                reduce: $wr,
-            };
-            (active_isa() == Isa::Avx2).then_some(&T)
-        }
-    };
-}
-
 macro_rules! sum_op {
     ($t:ty) => {
         |a: $t, b: $t| a.wrapping_add(b)
@@ -546,48 +400,7 @@ mod registry {
     plain_tile!(max_isize_tile, max_isize_f, max_isize_b, max_isize_r, isize, i64,
         avx2::maxi64_fwd, avx2::maxi64_red, max_op!(isize));
 
-    seg_tile!(seg_sum_u64_tile, sg_sum_u64_f, sg_sum_u64_b, sg_sum_u64_r, u64,
-        avx2::seg_sum_u64, seg_sum_op!(u64));
-    seg_tile!(seg_sum_usize_tile, sg_sum_usize_f, sg_sum_usize_b, sg_sum_usize_r, usize,
-        avx2::seg_sum_usize, seg_sum_op!(usize));
-    seg_tile!(seg_sum_i64_tile, sg_sum_i64_f, sg_sum_i64_b, sg_sum_i64_r, i64,
-        avx2::seg_sum_i64, seg_sum_op!(i64));
-    seg_tile!(seg_sum_isize_tile, sg_sum_isize_f, sg_sum_isize_b, sg_sum_isize_r, isize,
-        avx2::seg_sum_isize, seg_sum_op!(isize));
-    seg_tile!(seg_max_u64_tile, sg_max_u64_f, sg_max_u64_b, sg_max_u64_r, u64,
-        avx2::seg_max_u64, seg_max_op!(u64));
-    seg_tile!(seg_max_usize_tile, sg_max_usize_f, sg_max_usize_b, sg_max_usize_r, usize,
-        avx2::seg_max_usize, seg_max_op!(usize));
-    seg_tile!(seg_max_i64_tile, sg_max_i64_f, sg_max_i64_b, sg_max_i64_r, i64,
-        avx2::seg_max_i64, seg_max_op!(i64));
-    seg_tile!(seg_max_isize_tile, sg_max_isize_f, sg_max_isize_b, sg_max_isize_r, isize,
-        avx2::seg_max_isize, seg_max_op!(isize));
 }
-
-macro_rules! seg_sum_op {
-    ($t:ty) => {
-        |a: ($t, bool), b: ($t, bool)| {
-            if b.1 {
-                b
-            } else {
-                (a.0.wrapping_add(b.0), a.1)
-            }
-        }
-    };
-}
-macro_rules! seg_max_op {
-    ($t:ty) => {
-        |a: ($t, bool), b: ($t, bool)| {
-            if b.1 {
-                b
-            } else {
-                (a.0.max(b.0), a.1)
-            }
-        }
-    };
-}
-use seg_max_op;
-use seg_sum_op;
 
 pub(crate) use registry::*;
 
@@ -673,50 +486,6 @@ mod tests {
                 let wc = scalar_scan(&mut want, i64::MIN, inclusive, i64::max);
                 assert_eq!(got, want, "n={n} inclusive={inclusive}");
                 assert_eq!(c, wc);
-            }
-        }
-    }
-
-    #[test]
-    fn seg_tiles_match_scalar_reference() {
-        let Some(sum) = seg_sum_u64_tile() else {
-            return;
-        };
-        let max = seg_max_u64_tile().expect("isa already confirmed");
-        let sop = seg_sum_op!(u64);
-        let mop = seg_max_op!(u64);
-        for &n in &LENS {
-            let vals = data(0xBEEF, n);
-            let heads = data(0xF00D, n);
-            let a: Vec<(u64, bool)> = vals
-                .iter()
-                .zip(&heads)
-                .map(|(&v, &h)| (v, h % 5 == 0))
-                .collect();
-            for inclusive in [false, true] {
-                for carry in [(0u64, false), (99u64, true)] {
-                    let mut got = a.clone();
-                    let c = (sum.fwd)(&mut got, carry, inclusive);
-                    let mut want = a.clone();
-                    let wc = scalar_scan(&mut want, carry, inclusive, sop);
-                    assert_eq!(got, want, "seg-sum n={n} inclusive={inclusive}");
-                    assert_eq!(c, wc);
-
-                    let mut got = a.clone();
-                    let c = (max.fwd)(&mut got, carry, inclusive);
-                    let mut want = a.clone();
-                    let wc = scalar_scan(&mut want, carry, inclusive, mop);
-                    assert_eq!(got, want, "seg-max n={n} inclusive={inclusive}");
-                    assert_eq!(c, wc);
-
-                    let mut got = a.clone();
-                    let c = (sum.bwd)(&mut got, carry, inclusive);
-                    let mut want: Vec<(u64, bool)> = a.iter().rev().copied().collect();
-                    let wc = scalar_scan(&mut want, carry, inclusive, sop);
-                    want.reverse();
-                    assert_eq!(got, want, "seg-sum bwd n={n}");
-                    assert_eq!(c, wc);
-                }
             }
         }
     }

@@ -524,7 +524,7 @@ where
                 }
             },
             Mode::ExclusiveFwd,
-            O::simd_seg_tile(),
+            None,
             d.as_ref(),
         )?;
 

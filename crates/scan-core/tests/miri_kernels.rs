@@ -132,16 +132,48 @@ fn multi_split_kernel_is_sound_at_miri_size() {
 }
 
 #[test]
-fn pack_kernel_is_sound_at_miri_size() {
+fn compaction_kernels_are_sound_at_miri_size() {
+    // `pack`, `split` and `split3` take the process-default schedule;
+    // this is the only test here that flips it, so the others (which
+    // pass explicit schedules) are unaffected.
     shrink_threshold();
     let a = input(n());
     let keep: Vec<bool> = a.iter().map(|&x| x % 3 == 0).collect();
-    let expect: Vec<u64> = a
+    let buckets: Vec<ops::Bucket> = a
         .iter()
-        .zip(&keep)
-        .filter_map(|(&x, &k)| k.then_some(x))
+        .map(|&x| match x % 3 {
+            0 => ops::Bucket::Hi,
+            1 => ops::Bucket::Lo,
+            _ => ops::Bucket::Mid,
+        })
         .collect();
-    assert_eq!(ops::pack(&a, &keep), expect);
+    let group = |want: &dyn Fn(usize) -> bool| -> Vec<u64> {
+        (0..a.len()).filter(|&i| want(i)).map(|i| a[i]).collect()
+    };
+    let packed = group(&|i| keep[i]);
+    let mut split = group(&|i| !keep[i]);
+    split.extend(group(&|i| keep[i]));
+    let mut split3 = Vec::new();
+    for b in [ops::Bucket::Lo, ops::Bucket::Mid, ops::Bucket::Hi] {
+        split3.extend(group(&|i| buckets[i] == b));
+    }
+    let n_lo = buckets.iter().filter(|&&b| b == ops::Bucket::Lo).count();
+    let n_mid = buckets.iter().filter(|&&b| b == ops::Bucket::Mid).count();
+    for sched in SCHEDS {
+        parallel::set_default_schedule(sched);
+        assert_eq!(ops::pack(&a, &keep), packed, "{sched:?}");
+        assert_eq!(
+            ops::split_count(&a, &keep),
+            (split.clone(), a.len() - packed.len()),
+            "{sched:?}"
+        );
+        assert_eq!(
+            ops::split3(&a, &buckets),
+            (split3.clone(), n_lo, n_mid),
+            "{sched:?}"
+        );
+    }
+    parallel::set_default_schedule(Schedule::Pooled);
 }
 
 #[test]

@@ -167,7 +167,7 @@ mod tests {
     fn multi_line_safety_block_satisfies_r1() {
         let t = Tree::new();
         t.write(
-            "crates/scan-core/src/ops.rs",
+            "crates/scan-core/src/multi_split.rs",
             "// SAFETY: blocks are disjoint and cover 0..n, so each\n// write hits a unique index.\nfn f(p: *mut u8) { unsafe { p.write(0) } }\n",
         );
         assert_eq!(t.lint(), vec![]);
