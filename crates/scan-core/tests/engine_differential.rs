@@ -4,8 +4,11 @@
 //! and all four scan directions, must agree with the sequential
 //! reference at sizes straddling `PAR_THRESHOLD`. Segmented scans are
 //! checked against the scalar pair fold with the vector ISA on and
-//! off, and `pack`/`split`/`split3` against the paper's enumerate +
-//! permute constructions, kept here as oracles.
+//! off, `pack`/`split`/`split3` against the paper's enumerate +
+//! permute constructions, and the segmented derived ops (`seg_split3`,
+//! `seg_split`, `seg_distribute`, `seg_reduce`, `seg_copy`,
+//! `seg_enumerate`) against their segmented-scan + permute
+//! constructions, all kept here as oracles.
 //!
 //! The container running CI may expose a single core, which would give
 //! the lazy global pool width 1 and silently skip the parallel paths.
@@ -22,7 +25,7 @@ use scan_core::segmented::{
     seg_inclusive_scan, seg_inclusive_scan_backward, seg_scan, seg_scan_backward, Segments,
 };
 use scan_core::simd::{set_isa_override, Isa, TILE};
-use scan_core::{Max, ScanElem, ScanOp, Sum};
+use scan_core::{Max, Min, ScanElem, ScanOp, Sum};
 use std::sync::{Mutex, Once};
 
 static INIT: Once = Once::new();
@@ -474,6 +477,300 @@ proptest! {
                     prop_assert_eq!(&idx, &want_idx, "pack_indices {} n={}", name, n);
                     prop_assert_eq!(&split, &want_split, "split {} n={} sched={:?}", name, n, sched);
                     prop_assert_eq!(&split3, &want_split3, "split3 {} n={} sched={:?}", name, n, sched);
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Oracles for the segmented derived ops (paper §2.3): segmented scans,
+// whole-vector distributes, an offsets vector, an index vector and a
+// permute, step by step, written with the public primitives. The
+// library runs `seg_split3`, `seg_split`, `seg_distribute`,
+// `seg_reduce` and `seg_copy` on one head-aligned blocked kernel; these
+// are the constructions it must agree with.
+// ---------------------------------------------------------------------------
+
+/// Per-segment reduction: read each segment's last inclusive value.
+fn oracle_seg_reduce<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -> Vec<T> {
+    let inc = seg_inclusive_scan::<O, T>(a, segs);
+    segs.ranges().iter().map(|&(_, e)| inc[e - 1]).collect()
+}
+
+/// Segmented distribute: each segment's last inclusive value, repeated.
+fn oracle_seg_distribute<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -> Vec<T> {
+    let inc = seg_inclusive_scan::<O, T>(a, segs);
+    let mut out = Vec::with_capacity(a.len());
+    for (s, e) in segs.ranges() {
+        out.extend(std::iter::repeat_n(inc[e - 1], e - s));
+    }
+    out
+}
+
+/// Segmented copy: gather through every element's head index.
+fn oracle_seg_copy<T: ScanElem>(a: &[T], segs: &Segments) -> Vec<T> {
+    ops::gather(a, &segs.head_index_per_element())
+}
+
+/// Segmented enumerate: a segmented `+`-scan of the 0/1 flags.
+fn oracle_seg_enumerate(f: &[bool], segs: &Segments) -> Vec<usize> {
+    let ones: Vec<usize> = f.iter().map(|&x| usize::from(x)).collect();
+    seg_scan::<Sum, _>(&ones, segs)
+}
+
+/// Destination of every element under `seg_split`: the segment base,
+/// plus the element's rank among its segment's falses, or the
+/// segment's false count plus its rank among the trues.
+fn oracle_seg_split_index(f: &[bool], segs: &Segments) -> Vec<usize> {
+    let not_f: Vec<bool> = f.iter().map(|&x| !x).collect();
+    let enum_false = oracle_seg_enumerate(&not_f, segs);
+    let enum_true = oracle_seg_enumerate(f, segs);
+    let ones: Vec<usize> = not_f.iter().map(|&x| usize::from(x)).collect();
+    let n_false = oracle_seg_distribute::<Sum, _>(&ones, segs);
+    let base = segs.head_index_per_element();
+    (0..f.len())
+        .map(|i| {
+            base[i]
+                + if f[i] {
+                    n_false[i] + enum_true[i]
+                } else {
+                    enum_false[i]
+                }
+        })
+        .collect()
+}
+
+/// Segmented three-way split with refinement (§2.3.1): one segmented
+/// enumerate per group, per-segment group sizes by distribute, the
+/// destination index, a permute, and a scatter of the new head flags
+/// from every group's first element.
+fn oracle_seg_split3<T: ScanElem>(
+    a: &[T],
+    buckets: &[Bucket],
+    segs: &Segments,
+) -> scan_core::segops::SegSplit3<T> {
+    let is =
+        |want: Bucket| -> Vec<usize> { buckets.iter().map(|&x| usize::from(x == want)).collect() };
+    let (lo, mid, hi) = (is(Bucket::Lo), is(Bucket::Mid), is(Bucket::Hi));
+    let enum_lo = seg_scan::<Sum, _>(&lo, segs);
+    let enum_mid = seg_scan::<Sum, _>(&mid, segs);
+    let enum_hi = seg_scan::<Sum, _>(&hi, segs);
+    let n_lo = oracle_seg_distribute::<Sum, _>(&lo, segs);
+    let n_mid = oracle_seg_distribute::<Sum, _>(&mid, segs);
+    let base = segs.head_index_per_element();
+    let index: Vec<usize> = (0..a.len())
+        .map(|i| {
+            base[i]
+                + match buckets[i] {
+                    Bucket::Lo => enum_lo[i],
+                    Bucket::Mid => n_lo[i] + enum_mid[i],
+                    Bucket::Hi => n_lo[i] + n_mid[i] + enum_hi[i],
+                }
+        })
+        .collect();
+    let values = ops::permute_unchecked(a, &index);
+    let mut heads = vec![false; a.len()];
+    for i in 0..a.len() {
+        let rank = match buckets[i] {
+            Bucket::Lo => enum_lo[i],
+            Bucket::Mid => enum_mid[i],
+            Bucket::Hi => enum_hi[i],
+        };
+        if rank == 0 {
+            heads[index[i]] = true;
+        }
+    }
+    scan_core::segops::SegSplit3 {
+        values,
+        segments: Segments::from_flags(heads),
+        index,
+    }
+}
+
+/// Parallel cutoff for the segmented-op tests: with the pool pinned to
+/// 4 lanes, `min_block` = 64 and inputs of a few thousand elements plan
+/// 16 blocks of a few hundred, so segment boundaries fall inside,
+/// across and exactly on block boundaries.
+const SEG_THRESHOLD: usize = 256;
+
+/// Run `f` with the default schedule set to `s` and the parallel
+/// threshold shrunk to [`SEG_THRESHOLD`], restoring both after. Other
+/// tests may see the small threshold meanwhile; every result in this
+/// file is independent of the block plan.
+fn with_small_blocks<R>(s: Schedule, f: impl FnOnce() -> R) -> R {
+    let _guard = SCHED_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    parallel::set_par_threshold_override(SEG_THRESHOLD);
+    parallel::set_default_schedule(s);
+    let r = f();
+    parallel::set_default_schedule(Schedule::Pooled);
+    parallel::set_par_threshold_override(0);
+    r
+}
+
+/// Start of every block the engine plans for `n` elements on the
+/// 4-lane pool under [`SEG_THRESHOLD`] (`plan_blocks` and
+/// `block_range`, restated).
+fn block_starts(n: usize) -> Vec<usize> {
+    if n < SEG_THRESHOLD {
+        return vec![0];
+    }
+    let lanes = 4;
+    let mut nblocks = (n / (SEG_THRESHOLD / 4)).clamp(1, 4 * lanes);
+    if nblocks > lanes {
+        nblocks -= nblocks % lanes;
+    }
+    let (base, rem) = (n / nblocks, n % nblocks);
+    (0..nblocks).map(|b| b * base + b.min(rem)).collect()
+}
+
+/// The segmentations the head-aligned plan must survive.
+fn segmentations(seed: u64, n: usize) -> Vec<(&'static str, Segments)> {
+    let mut on_boundaries = vec![false; n];
+    for s in block_starts(n) {
+        if s < n {
+            on_boundaries[s] = true;
+        }
+    }
+    // Segments of 3 everywhere except one of about three blocks' length
+    // starting a third of the way in.
+    let long_start = n / 3;
+    let long_end = (long_start + 3 * n / block_starts(n).len()).min(n);
+    let long_among_short: Vec<bool> = (0..n)
+        .map(|i| i == long_start || (i % 3 == 0 && !(long_start..long_end).contains(&i)))
+        .collect();
+    let mut headless_first = flags(seed ^ 11, n, 16);
+    if let Some(f) = headless_first.first_mut() {
+        *f = false;
+    }
+    vec![
+        ("single", Segments::single(n)),
+        ("all-heads", Segments::from_flags(vec![true; n])),
+        ("on-block-boundaries", Segments::from_flags(on_boundaries)),
+        ("long-among-short", Segments::from_flags(long_among_short)),
+        ("density-1/2", Segments::from_flags(flags(seed, n, 2))),
+        ("density-1/16", Segments::from_flags(flags(seed ^ 1, n, 16))),
+        (
+            "density-1/256",
+            Segments::from_flags(flags(seed ^ 2, n, 256)),
+        ),
+        (
+            "density-1/4096",
+            Segments::from_flags(flags(seed ^ 3, n, 4096)),
+        ),
+        ("flags[0]-false", Segments::from_flags(headless_first)),
+    ]
+}
+
+/// Bucket patterns for the three-way split: each group alone, and random.
+fn bucket_patterns(seed: u64, n: usize) -> Vec<(&'static str, Vec<Bucket>)> {
+    let random = data(seed ^ 0xb0c4, n)
+        .iter()
+        .map(|&x| match x % 3 {
+            0 => Bucket::Lo,
+            1 => Bucket::Mid,
+            _ => Bucket::Hi,
+        })
+        .collect();
+    vec![
+        ("all-lo", vec![Bucket::Lo; n]),
+        ("all-mid", vec![Bucket::Mid; n]),
+        ("all-hi", vec![Bucket::Hi; n]),
+        ("random", random),
+    ]
+}
+
+/// Every segmented derived op on one input, in a fixed order, so one
+/// run under a schedule compares against one run of the oracles.
+struct SegOps {
+    split3: Vec<scan_core::segops::SegSplit3<u64>>,
+    split: Vec<u64>,
+    split_index: Vec<usize>,
+    enumerate: Vec<usize>,
+    distribute: [Vec<u64>; 3],
+    reduce: [Vec<u64>; 3],
+    copy: Vec<u64>,
+}
+
+impl SegOps {
+    /// Name of the first op whose output differs from `other`'s.
+    fn first_mismatch(&self, other: &SegOps) -> Option<&'static str> {
+        [
+            ("seg_split3", self.split3 == other.split3),
+            ("seg_split", self.split == other.split),
+            ("seg_split_index", self.split_index == other.split_index),
+            ("seg_enumerate", self.enumerate == other.enumerate),
+            ("seg_distribute", self.distribute == other.distribute),
+            ("seg_reduce", self.reduce == other.reduce),
+            ("seg_copy", self.copy == other.copy),
+        ]
+        .into_iter()
+        .find_map(|(name, same)| (!same).then_some(name))
+    }
+}
+
+fn seg_ops_oracle(a: &[u64], f: &[bool], bk: &[Vec<Bucket>], segs: &Segments) -> SegOps {
+    SegOps {
+        split3: bk.iter().map(|b| oracle_seg_split3(a, b, segs)).collect(),
+        split: ops::permute_unchecked(a, &oracle_seg_split_index(f, segs)),
+        split_index: oracle_seg_split_index(f, segs),
+        enumerate: oracle_seg_enumerate(f, segs),
+        distribute: [
+            oracle_seg_distribute::<Sum, _>(a, segs),
+            oracle_seg_distribute::<Max, _>(a, segs),
+            oracle_seg_distribute::<Min, _>(a, segs),
+        ],
+        reduce: [
+            oracle_seg_reduce::<Sum, _>(a, segs),
+            oracle_seg_reduce::<Max, _>(a, segs),
+            oracle_seg_reduce::<Min, _>(a, segs),
+        ],
+        copy: oracle_seg_copy(a, segs),
+    }
+}
+
+fn seg_ops_library(a: &[u64], f: &[bool], bk: &[Vec<Bucket>], segs: &Segments) -> SegOps {
+    use scan_core::segops as so;
+    SegOps {
+        split3: bk.iter().map(|b| so::seg_split3(a, b, segs)).collect(),
+        split: so::seg_split(a, f, segs),
+        split_index: so::seg_split_index(f, segs),
+        enumerate: so::seg_enumerate(f, segs),
+        distribute: [
+            so::seg_distribute::<Sum, _>(a, segs),
+            so::seg_distribute::<Max, _>(a, segs),
+            so::seg_distribute::<Min, _>(a, segs),
+        ],
+        reduce: [
+            so::seg_reduce::<Sum, _>(a, segs),
+            so::seg_reduce::<Max, _>(a, segs),
+            so::seg_reduce::<Min, _>(a, segs),
+        ],
+        copy: so::seg_copy(a, segs),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// The segmented derived ops match the scan + distribute + permute
+    /// oracles under every schedule, on many small blocks, for every
+    /// segmentation shape and bucket pattern, including all three
+    /// `SegSplit3` fields.
+    #[test]
+    fn segmented_ops_match_scan_permute_oracles(seed in any::<u64>()) {
+        setup();
+        for n in [0usize, 1, 2, 7, SEG_THRESHOLD - 1, 5003, 20011] {
+            let a = data(seed ^ n as u64, n);
+            let f = flags(seed ^ 0xf1a9, n, 2);
+            let bk: Vec<Vec<Bucket>> = bucket_patterns(seed, n).into_iter().map(|(_, b)| b).collect();
+            for (name, segs) in segmentations(seed, n) {
+                let want = seg_ops_oracle(&a, &f, &bk, &segs);
+                for sched in [Schedule::Pooled, Schedule::Lookback, Schedule::Sequential] {
+                    let got = with_small_blocks(sched, || seg_ops_library(&a, &f, &bk, &segs));
+                    if let Some(field) = got.first_mismatch(&want) {
+                        prop_assert!(false, "{} differs: {} n={} sched={:?}", field, name, n, sched);
+                    }
                 }
             }
         }

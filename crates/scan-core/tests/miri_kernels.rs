@@ -29,7 +29,8 @@ use scan_core::parallel::{
 };
 use scan_core::pool::WorkerPool;
 use scan_core::sync::atomic::{AtomicUsize, Ordering};
-use scan_core::{multi_split, ops, ExecError, ScanDeadline};
+use scan_core::{multi_split, ops, segops, ExecError, ScanDeadline, Segments, Sum};
+use std::sync::Mutex;
 
 /// Parallel cutoff while these tests run: small enough that Miri can
 /// interpret the blocked path, large enough that the plan still
@@ -131,11 +132,15 @@ fn multi_split_kernel_is_sound_at_miri_size() {
     }
 }
 
+/// Serializes the tests that flip the process-default schedule (the
+/// derived ops take no explicit one); the other tests pass explicit
+/// schedules and are unaffected.
+static DEFAULT_SCHED: Mutex<()> = Mutex::new(());
+
 #[test]
 fn compaction_kernels_are_sound_at_miri_size() {
-    // `pack`, `split` and `split3` take the process-default schedule;
-    // this is the only test here that flips it, so the others (which
-    // pass explicit schedules) are unaffected.
+    // `pack`, `split` and `split3` take the process-default schedule.
+    let _guard = DEFAULT_SCHED.lock().unwrap_or_else(|e| e.into_inner());
     shrink_threshold();
     let a = input(n());
     let keep: Vec<bool> = a.iter().map(|&x| x % 3 == 0).collect();
@@ -172,6 +177,69 @@ fn compaction_kernels_are_sound_at_miri_size() {
             (split3.clone(), n_lo, n_mid),
             "{sched:?}"
         );
+    }
+    parallel::set_default_schedule(Schedule::Pooled);
+}
+
+#[test]
+fn segmented_kernels_are_sound_at_miri_size() {
+    // One segment spanning several blocks (the flat path) among
+    // single-element segments (the head-aligned blocks), under every
+    // schedule through the process default.
+    let _guard = DEFAULT_SCHED.lock().unwrap_or_else(|e| e.into_inner());
+    shrink_threshold();
+    let a = input(n());
+    let n = a.len();
+    let long = n / 4..3 * n / 4;
+    let heads: Vec<bool> = (0..n)
+        .map(|i| !long.contains(&i) || i == long.start)
+        .collect();
+    let segs = Segments::from_flags(heads);
+    let flags: Vec<bool> = a.iter().map(|&x| x % 3 == 0).collect();
+    let buckets: Vec<ops::Bucket> = a
+        .iter()
+        .map(|&x| match x % 3 {
+            0 => ops::Bucket::Hi,
+            1 => ops::Bucket::Lo,
+            _ => ops::Bucket::Mid,
+        })
+        .collect();
+    // Sequential references, segment by segment.
+    let mut split = Vec::with_capacity(n);
+    let mut split3 = Vec::with_capacity(n);
+    let mut refined = vec![false; n];
+    let mut sums = Vec::with_capacity(n);
+    let mut copies = Vec::with_capacity(n);
+    for (s, e) in segs.ranges() {
+        let part = |want: &dyn Fn(usize) -> bool| -> Vec<u64> {
+            (s..e).filter(|&i| want(i)).map(|i| a[i]).collect()
+        };
+        split.extend(part(&|i| !flags[i]));
+        split.extend(part(&|i| flags[i]));
+        for b in [ops::Bucket::Lo, ops::Bucket::Mid, ops::Bucket::Hi] {
+            let start = split3.len();
+            split3.extend(part(&|i| buckets[i] == b));
+            if split3.len() > start {
+                refined[start] = true;
+            }
+        }
+        let total = a[s..e].iter().fold(0u64, |x, &y| x.wrapping_add(y));
+        sums.extend(std::iter::repeat_n(total, e - s));
+        copies.extend(std::iter::repeat_n(a[s], e - s));
+    }
+    for sched in SCHEDS {
+        parallel::set_default_schedule(sched);
+        assert_eq!(segops::seg_split(&a, &flags, &segs), split, "{sched:?}");
+        let r = segops::seg_split3(&a, &buckets, &segs);
+        assert_eq!(r.values, split3, "{sched:?}");
+        assert_eq!(r.segments.flags(), refined.as_slice(), "{sched:?}");
+        assert!((0..n).all(|i| r.values[r.index[i]] == a[i]), "{sched:?}");
+        assert_eq!(
+            segops::seg_distribute::<Sum, _>(&a, &segs),
+            sums,
+            "{sched:?}"
+        );
+        assert_eq!(segops::seg_copy(&a, &segs), copies, "{sched:?}");
     }
     parallel::set_default_schedule(Schedule::Pooled);
 }

@@ -289,16 +289,32 @@ proptest! {
             }
             prop_assert_eq!(&r.values[s..e], expect.as_slice());
         }
-        // Refined segment count = number of nonempty groups.
-        let mut groups = 0;
+        // Refined heads are exact: a head at the first slot of every
+        // nonempty group of every old segment, and nowhere else.
+        let mut heads = vec![false; a.len()];
         for (s, e) in segs.ranges() {
+            let mut slot = s;
             for want in [Bucket::Lo, Bucket::Mid, Bucket::Hi] {
-                if (s..e).any(|i| buckets[i] == want) {
-                    groups += 1;
+                let size = (s..e).filter(|&i| buckets[i] == want).count();
+                if size > 0 {
+                    heads[slot] = true;
                 }
+                slot += size;
             }
         }
-        prop_assert_eq!(r.segments.count(), groups);
+        prop_assert_eq!(r.segments.flags(), heads.as_slice());
+        // `index` is the permutation that was applied, and it maps every
+        // old segment onto itself.
+        prop_assert_eq!(r.index.len(), a.len());
+        let mut hit = vec![false; a.len()];
+        for (s, e) in segs.ranges() {
+            for (i, &p) in r.index.iter().enumerate().take(e).skip(s) {
+                prop_assert!((s..e).contains(&p), "index[{}] = {} leaves {}..{}", i, p, s, e);
+                prop_assert!(!hit[p], "index hits {} twice", p);
+                hit[p] = true;
+                prop_assert_eq!(r.values[p], a[i]);
+            }
+        }
     }
 
     #[test]
