@@ -39,8 +39,8 @@ use crate::deadline::{self, ScanDeadline};
 use crate::element::ScanElem;
 use crate::error::{Error, Result};
 use crate::parallel::{
-    block_range, check, default_schedule, engine_width, go_parallel, plan_blocks, run_blocks,
-    scan_span, try_run_blocks, Mode, Schedule, SendPtr, CANCEL_STRIDE,
+    block_range, check, default_schedule, engine_width, go_parallel, par_threshold, plan_blocks,
+    run_blocks, scan_span, try_run_blocks, Mode, Schedule, SendPtr, CANCEL_STRIDE,
 };
 use crate::sync::MinCell;
 use core::ops::Range;
@@ -371,6 +371,52 @@ where
     (part, totals)
 }
 
+/// Raw output columns of a compaction: slot `p` of `values` receives
+/// the value of the element placed there and, when present, `index[i]`
+/// receives element `i`'s slot.
+struct Cols<U> {
+    values: SendPtr<U>,
+    index: Option<SendPtr<usize>>,
+}
+
+impl<U> Clone for Cols<U> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<U> Copy for Cols<U> {}
+
+impl<U> Cols<U> {
+    /// Place element `i`, whose value is `v`, at slot `p`.
+    ///
+    /// # Safety
+    /// `i` and `p` are in bounds of their columns, and no other write
+    /// (on any thread) targets slot `p` of `values` or slot `i` of
+    /// `index` before the columns are joined and read.
+    // SAFETY: an `unsafe fn`; every caller states why it meets the
+    // contract above.
+    #[inline(always)]
+    unsafe fn put(self, i: usize, p: usize, v: U) {
+        // SAFETY: in bounds and exclusive, per the contract above.
+        unsafe { self.values.get().add(p).write(v) };
+        if let Some(ix) = self.index {
+            // SAFETY: as above.
+            unsafe { ix.get().add(i).write(p) };
+        }
+    }
+}
+
+/// Take the cursor of bucket `k` and advance it. The cursors are
+/// indexed, not selected by comparing `k` with every bucket: with
+/// random buckets the compare-and-select form branched and ran about
+/// 5× slower at three buckets.
+#[inline(always)]
+fn bump<const B: usize>(cur: &mut [usize; B], k: usize) -> usize {
+    let p = cur[k];
+    cur[k] = p + 1;
+    p
+}
+
 /// Stable blocked compaction keyed by element index: the kernel under
 /// [`ops::split`](crate::ops::split) and
 /// [`ops::split3`](crate::ops::split3). Element `i` goes to bucket
@@ -391,38 +437,52 @@ where
     U: Copy + Send,
 {
     let n = keys.len();
-    if n == 0 {
-        return (Vec::new(), [0; B]);
+    let mut out: Vec<U> = Vec::with_capacity(n);
+    let cols = Cols {
+        values: SendPtr::new(out.as_mut_ptr()),
+        index: None,
+    };
+    let totals = compact_into(keys, 0, &value, cols);
+    // SAFETY: `compact_into` wrote every slot of `0..n` exactly once.
+    unsafe { out.set_len(n) };
+    (out, totals)
+}
+
+/// [`compact`] into caller-owned columns: `keys` are the keys of
+/// elements `base..base + keys.len()`, and their values land in slots
+/// `base..base + keys.len()` of `out` (element indices and slots are
+/// both absolute, so a segment compacts in place within its range).
+/// Writes every slot of that range exactly once and returns every
+/// bucket's total.
+fn compact_into<K, U, const B: usize>(
+    keys: &[K],
+    base: usize,
+    value: &(impl Fn(usize) -> U + Sync),
+    out: Cols<U>,
+) -> [usize; B]
+where
+    K: BucketKey<B>,
+    U: Copy + Send,
+{
+    if keys.is_empty() {
+        return [0; B];
     }
     let mut mat = Vec::new();
     let (part, totals) = count_keys(keys, &mut mat);
-    let mut out: Vec<U> = Vec::with_capacity(n);
-    let o = SendPtr::new(out.as_mut_ptr());
     let scattered = part.scatter(|_, r, cur| {
-        let o = o.get();
         let mut c: [usize; B] = core::array::from_fn(|k| cur[k]);
         for (i, &key) in r.clone().zip(&keys[r]) {
-            let k = key.bucket();
-            // Select and bump the cursor with constant indices only, so
-            // the cursors stay in registers.
-            let mut p = 0;
-            for (j, cj) in c.iter_mut().enumerate() {
-                if k == j {
-                    p = *cj;
-                }
-                *cj += usize::from(k == j);
-            }
-            // SAFETY: the cursor ranges partition `0..n` exactly (see
-            // `Partition::scatter`), so `p` is a distinct in-bounds slot
-            // of the uninitialized output, written once.
-            unsafe { o.add(p).write(value(i)) };
+            let p = bump(&mut c, key.bucket());
+            // SAFETY: the cursor ranges partition `0..keys.len()` exactly
+            // (see `Partition::scatter`), so `base + p` is a distinct
+            // slot of the caller's range, and `base + i` is this
+            // block's own element, each written once.
+            unsafe { out.put(base + i, base + p, value(base + i)) };
         }
         cur.copy_from_slice(&c);
     });
     debug_assert!(scattered.is_ok(), "the infallible scatter cannot fail");
-    // SAFETY: every slot of `0..n` was written exactly once above.
-    unsafe { out.set_len(n) };
-    (out, totals)
+    totals
 }
 
 /// The kernel under [`ops::pack`](crate::ops::pack): `value(i)` for
@@ -469,6 +529,414 @@ where
     // SAFETY: every block wrote its whole kept range, and the ranges
     // partition `0..kept`.
     unsafe { out.set_len(kept) };
+    out
+}
+
+/// The head-aligned block plan under the segmented derived ops
+/// ([`seg_compact`], [`seg_fill`], [`seg_fold`]).
+///
+/// A segmented split, distribute or copy never moves an element out of
+/// its segment, so every segment's output range is its input range.
+/// The plan takes the usual balanced blocks and gives each block the
+/// segments whose heads lie in it: every interior block boundary in
+/// effect moves forward to the next head, so no segment straddles two
+/// blocks, and a block reads and writes only its own segments. Blocks
+/// need no carries, no count matrix and no offset scan.
+///
+/// A segment longer than a block (and than the parallel threshold)
+/// would leave one thread holding most of the work. Such a segment is
+/// necessarily its block's last; it leaves the block and runs on the
+/// flat blocked kernels after the pass.
+struct SegPlan<'a> {
+    heads: &'a [bool],
+    sched: Schedule,
+    nblocks: usize,
+    /// Segments longer than this run on the flat kernels.
+    long: usize,
+}
+
+impl<'a> SegPlan<'a> {
+    /// Plan under the process-default schedule; element 0 is a head
+    /// whatever `heads[0]` says.
+    fn new(heads: &'a [bool]) -> Self {
+        let n = heads.len();
+        let sched = default_schedule();
+        let (sched, nblocks) = if go_parallel(sched, n) {
+            (sched, plan_blocks(n, engine_width(sched)))
+        } else {
+            (Schedule::Sequential, 1)
+        };
+        // A short segment's bucket counts share one `usize`, so no
+        // block, and no segment in one, may be longer than half of one.
+        let half = usize::MAX >> HALF;
+        let nblocks = nblocks.max(n.div_ceil(half));
+        SegPlan {
+            heads,
+            sched: if nblocks == 1 {
+                Schedule::Sequential
+            } else {
+                sched
+            },
+            nblocks,
+            long: n.div_ceil(nblocks).max(par_threshold()).min(half),
+        }
+    }
+
+    /// The first head in `from..to`, or `to` when there is none.
+    fn next_head(&self, from: usize, to: usize) -> usize {
+        let run = self.heads[from..to].iter().position(|&h| h);
+        run.map_or(to, |p| from + p)
+    }
+
+    /// Call `span(block, range)` with each block's run of whole short
+    /// segments (from its first head to the end of its last segment
+    /// that stays), blocks in parallel. Returns the segments that left
+    /// their blocks, in order, each with its block.
+    fn run(&self, span: impl Fn(usize, Range<usize>) + Sync) -> Vec<(usize, Range<usize>)> {
+        let (n, nblocks) = (self.heads.len(), self.nblocks);
+        // Per block: its first head, and the head of the long segment
+        // it defers.
+        let mut first = vec![usize::MAX; nblocks];
+        let mut long = vec![usize::MAX; nblocks];
+        let (fp, lp) = (
+            SendPtr::new(first.as_mut_ptr()),
+            SendPtr::new(long.as_mut_ptr()),
+        );
+        run_blocks(self.sched, nblocks, |b| {
+            let r = block_range(n, nblocks, b);
+            let s = if b == 0 {
+                0
+            } else {
+                self.next_head(r.start, r.end)
+            };
+            if s == r.end {
+                return;
+            }
+            let last = self.heads[s + 1..r.end].iter().rposition(|&h| h);
+            let last = last.map_or(s, |p| s + 1 + p);
+            // `long` is at least a block, so `to` lies past the block.
+            let to = last.saturating_add(self.long).saturating_add(1).min(n);
+            let mut e = self.next_head(r.end, to);
+            // SAFETY: slot `b` is written only by block `b`.
+            unsafe { fp.get().add(b).write(s) };
+            if e == to && to < n {
+                // SAFETY: as above.
+                unsafe { lp.get().add(b).write(last) };
+                e = last;
+            }
+            if s < e {
+                span(b, s..e);
+            }
+        });
+        // A long segment ends at the first head of the next block that
+        // has one: no block in between owns a head.
+        let mut out = Vec::new();
+        for (b, &h) in long.iter().enumerate() {
+            if h != usize::MAX {
+                let end = first[b + 1..].iter().find(|&&f| f != usize::MAX);
+                out.push((b, h..end.copied().unwrap_or(n)));
+            }
+        }
+        out
+    }
+}
+
+/// `if c { t } else { f }` without a branch. Head flags are random, and
+/// an `if` on them compiled to a mispredicted branch for most operand
+/// types; the compiler reads this two-slot array with a conditional
+/// move instead.
+#[inline(always)]
+fn pick<T: Copy>(c: bool, t: T, f: T) -> T {
+    [f, t][usize::from(c)]
+}
+
+/// Bits per half of a `usize`: a segmented split keeps a segment's
+/// first two bucket counts packed in one `usize` slot.
+const HALF: u32 = usize::BITS / 2;
+
+/// Columns of a segmented split ([`seg_compact`]); `heads` is empty
+/// unless asked for.
+pub(crate) struct SegSplitCols<U> {
+    /// Within each segment, the values bucket by bucket.
+    pub(crate) values: Vec<U>,
+    /// The slot each element moved to.
+    pub(crate) index: Vec<usize>,
+    /// A head at the first slot of every nonempty bucket of every
+    /// segment.
+    pub(crate) heads: Vec<bool>,
+}
+
+/// The kernel under the segmented splits
+/// ([`segops::seg_split`](crate::segops::seg_split),
+/// [`seg_split_index`](crate::segops::seg_split_index),
+/// [`seg_split3`](crate::segops::seg_split3)): within each segment of
+/// `heads`, a stable compaction of `value(i)` by `keys[i].bucket()`,
+/// on the head-aligned plan ([`SegPlan`]).
+///
+/// Each block makes two passes over its span of short segments, both
+/// without looking for segment ends. The first runs backward and counts
+/// each segment's buckets, restarting after every segment's last
+/// element, so at a head it holds the segment's totals; it parks the
+/// first two counts, packed, in the `index` slot of each element. The
+/// second runs forward: at each head it sets `B` cursors to the
+/// segment's bucket bases from those totals, then moves every element
+/// to its bucket's cursor, records the slot in `index`, and flags the
+/// first slot of every bucket. A long segment runs the flat [`compact`]
+/// over its slice, into the same columns.
+pub(crate) fn seg_compact<K, U, const B: usize>(
+    keys: &[K],
+    heads: &[bool],
+    value: impl Fn(usize) -> U + Sync,
+    want_heads: bool,
+) -> SegSplitCols<U>
+where
+    K: BucketKey<B>,
+    U: Copy + Send,
+{
+    debug_assert!(B == 2 || B == 3, "the packed counts hold two buckets");
+    let n = keys.len();
+    debug_assert_eq!(heads.len(), n, "one head flag per key");
+    let mut values: Vec<U> = Vec::with_capacity(n);
+    let mut index: Vec<usize> = Vec::with_capacity(n);
+    let mut refined = if want_heads {
+        vec![false; n]
+    } else {
+        Vec::new()
+    };
+    let ix = SendPtr::new(index.as_mut_ptr());
+    let cols = Cols {
+        values: SendPtr::new(values.as_mut_ptr()),
+        index: Some(ix),
+    };
+    let hp = want_heads.then(|| SendPtr::new(refined.as_mut_ptr()));
+    let plan = SegPlan::new(heads);
+    let longs = plan.run(|_, r| {
+        let ix = ix.get();
+        // Backward: suffix counts of the first two buckets within the
+        // segment, restarting after each segment's last element.
+        let (mut c0, mut c1) = (0usize, 0usize);
+        for i in r.clone().rev() {
+            let last = i + 1 == r.end || heads[i + 1];
+            let k = keys[i].bucket();
+            c0 = pick(last, 0, c0) + usize::from(k == 0);
+            c1 = pick(last, 0, c1) + usize::from(k == 1);
+            // SAFETY: a span's slots are in bounds and touched only by
+            // its block; this slot is overwritten by the forward pass.
+            unsafe { ix.add(i).write(c0 | c1 << HALF) };
+        }
+        // Forward: each element's slot from its segment's head, its
+        // bucket rank (the running prefix count) and its suffix counts.
+        // Bucket `j < B - 1` starts after the segment's totals of the
+        // buckets before it, each a prefix plus a suffix count; the last
+        // bucket ends with the segment, so its slot needs no totals.
+        // The head and ranks are selected from registers only: a select
+        // on a freshly loaded operand compiles to a branch, which the
+        // random head flags mispredict.
+        let (mut head, mut rank) = (r.start, [0usize; B]);
+        for i in r.clone() {
+            let at_head = heads[i] | (i == r.start);
+            head = pick(at_head, i, head);
+            for q in &mut rank {
+                *q = pick(at_head, 0, *q);
+            }
+            // SAFETY: initialized by the backward pass above.
+            let packed = unsafe { *ix.add(i) };
+            let suffix = [packed & (usize::MAX >> HALF), packed >> HALF];
+            let mut slot = [i + suffix.iter().take(B - 1).sum::<usize>(); B];
+            // Slot `i` gets a refined head when a bucket starts there.
+            let (mut base, mut starts) = (head, i == head);
+            for ((s, &q), &t) in slot.iter_mut().zip(&rank).zip(&suffix).take(B - 1) {
+                *s = base + q;
+                base += q + t;
+                starts |= base == i;
+            }
+            if let Some(h) = hp {
+                // SAFETY: slot `i` is in the span, which only its block
+                // touches.
+                unsafe { h.get().add(i).write(starts) };
+            }
+            let k = keys[i].bucket();
+            let mut p = 0;
+            for (j, (&s, q)) in slot.iter().zip(&mut rank).enumerate() {
+                let hit = usize::from(k == j);
+                p |= s & hit.wrapping_neg();
+                *q += hit;
+            }
+            // SAFETY: bucket `k`'s slots of the segment start at its base
+            // and its elements take them in rank order, so each slot of
+            // the segment's own range is handed out once; `i` is the
+            // segment's own element.
+            unsafe { cols.put(i, p, value(i)) };
+        }
+    });
+    for (_, r) in longs {
+        let totals = compact_into(&keys[r.clone()], r.start, &value, cols);
+        if let Some(h) = hp {
+            let mut p = r.start;
+            for t in totals {
+                if t > 0 {
+                    // SAFETY: `p` is a slot of the long segment, which
+                    // only this loop writes now.
+                    unsafe { h.get().add(p).write(true) };
+                }
+                p += t;
+            }
+        }
+    }
+    // SAFETY: the spans and long segments partition `0..n`, and each
+    // wrote every value and index slot of its range exactly once.
+    unsafe {
+        values.set_len(n);
+        index.set_len(n);
+    }
+    SegSplitCols {
+        values,
+        index,
+        heads: refined,
+    }
+}
+
+/// The kernel under [`segops::seg_copy`](crate::segops::seg_copy)
+/// (`fold` = `None`) and
+/// [`seg_distribute`](crate::segops::seg_distribute): every element
+/// receives its segment's head value or, given a `fold`, the fold of
+/// its whole segment.
+///
+/// On the head-aligned plan ([`SegPlan`]) each block sweeps its span of
+/// short segments without looking for their ends: a copy carries the
+/// head forward; a distribute folds forward, restarting at every head,
+/// then copies each segment's last fold backward over the segment. A
+/// segment that left its block gets `long(range)` (a flat parallel
+/// reduction, say) in a parallel fill.
+pub(crate) fn seg_fill<T, F>(
+    a: &[T],
+    heads: &[bool],
+    fold: Option<F>,
+    long: impl Fn(Range<usize>) -> T,
+) -> Vec<T>
+where
+    T: Copy + Send + Sync,
+    F: Fn(T, T) -> T + Sync,
+{
+    let n = a.len();
+    debug_assert_eq!(heads.len(), n, "one head flag per element");
+    let mut out: Vec<T> = Vec::with_capacity(n);
+    let o = SendPtr::new(out.as_mut_ptr());
+    let plan = SegPlan::new(heads);
+    let longs = plan.run(|_, r| {
+        let o = o.get();
+        // SAFETY (every access below): a span's slots are in bounds and
+        // touched only by its block, and the reads are of slots the
+        // forward sweep initialized.
+        let Some(fold) = &fold else {
+            // Copy: track the head's index, not its value, so that no
+            // select picks a freshly loaded operand (the compiler turns
+            // such a select back into a branch).
+            let mut head = r.start;
+            for i in r {
+                head = pick(heads[i], i, head);
+                // SAFETY: see above.
+                unsafe { o.add(i).write(a[head]) };
+            }
+            return;
+        };
+        let mut acc = a[r.start];
+        // SAFETY: see above.
+        unsafe { o.add(r.start).write(acc) };
+        for i in r.start + 1..r.end {
+            acc = pick(heads[i], a[i], fold(acc, a[i]));
+            // SAFETY: see above.
+            unsafe { o.add(i).write(acc) };
+        }
+        // Spread each segment's last fold backward over the segment.
+        let mut last = r.end - 1;
+        for i in (r.start..r.end - 1).rev() {
+            last = pick(heads[i + 1], i, last);
+            // SAFETY: see above.
+            unsafe { o.add(i).write(*o.add(last)) };
+        }
+    });
+    for (_, r) in longs {
+        let (base, len, v) = (r.start, r.len(), long(r));
+        let nblocks = plan_blocks(len, engine_width(plan.sched));
+        run_blocks(plan.sched, nblocks, |b| {
+            let o = o.get();
+            for p in block_range(len, nblocks, b) {
+                // SAFETY: the blocks partition the segment's range.
+                unsafe { o.add(base + p).write(v) };
+            }
+        });
+    }
+    // SAFETY: the spans and long segments partition `0..n`, and each
+    // wrote every slot of its range.
+    unsafe { out.set_len(n) };
+    out
+}
+
+/// The kernel under [`segops::seg_reduce`](crate::segops::seg_reduce):
+/// the `fold` of every segment, one per segment, in segment order.
+///
+/// On the head-aligned plan ([`SegPlan`]), each block's first segment
+/// ordinal comes from a per-block head count. The block then folds its
+/// span forward, restarting at every head and writing the running fold
+/// at the current segment's ordinal, so a segment's last write is its
+/// total. A segment that left its block gets `long(range)`.
+pub(crate) fn seg_fold<T, F>(
+    a: &[T],
+    heads: &[bool],
+    fold: F,
+    long: impl Fn(Range<usize>) -> T,
+) -> Vec<T>
+where
+    T: Copy + Send + Sync,
+    F: Fn(T, T) -> T + Sync,
+{
+    let n = a.len();
+    debug_assert_eq!(heads.len(), n, "one head flag per element");
+    if n == 0 {
+        return Vec::new();
+    }
+    let plan = SegPlan::new(heads);
+    let nblocks = plan.nblocks;
+    // Heads per block, then scanned in place: `first[b]` is block `b`'s
+    // first segment ordinal, `first[nblocks]` the segment count.
+    let mut first = vec![0usize; nblocks + 1];
+    let fp = SendPtr::new(first.as_mut_ptr());
+    run_blocks(plan.sched, nblocks, |b| {
+        let r = block_range(n, nblocks, b);
+        let count = heads[r].iter().filter(|&&h| h).count() + usize::from(b == 0 && !heads[0]);
+        // SAFETY: slot `b` is written only by block `b`.
+        unsafe { fp.get().add(b).write(count) };
+    });
+    let mut total = 0;
+    for f in &mut first {
+        (*f, total) = (total, total + *f);
+    }
+    let mut out: Vec<T> = Vec::with_capacity(total);
+    let o = SendPtr::new(out.as_mut_ptr());
+    let first = &first;
+    let longs = plan.run(|b, r| {
+        let o = o.get();
+        let (mut ord, mut acc) = (first[b], a[r.start]);
+        for i in r.start + 1..r.end {
+            // SAFETY: block `b` owns exactly the segments whose heads it
+            // counted, from ordinal `first[b]` on, so `ord` is its own
+            // in-bounds slot.
+            unsafe { o.add(ord).write(acc) };
+            ord += usize::from(heads[i]);
+            acc = pick(heads[i], a[i], fold(acc, a[i]));
+        }
+        // SAFETY: as above.
+        unsafe { o.add(ord).write(acc) };
+    });
+    for (b, r) in longs {
+        // A long segment is its block's last segment.
+        // SAFETY: as above; the block's span stopped before it.
+        unsafe { o.get().add(first[b + 1] - 1).write(long(r)) };
+    }
+    // SAFETY: every segment's ordinal slot was written, the last write
+    // being the segment's fold.
+    unsafe { out.set_len(total) };
     out
 }
 

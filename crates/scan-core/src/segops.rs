@@ -1,13 +1,20 @@
 //! Segmented versions of the simple operations (paper §2.3):
 //! per-segment `enumerate`, `copy`, `⊕-distribute`, `reduce`, `split`,
 //! and three-way `split` — each a constant number of scan-model steps.
+//!
+//! All but `enumerate` run on one head-aligned blocked kernel in
+//! [`crate::multi_split`] (DESIGN §11): a segmented split, distribute
+//! or copy never moves an element out of its segment, so each block
+//! owns whole segments and works on them alone.
 
 use crate::element::ScanElem;
 use crate::error::{Error, Result};
+use crate::multi_split::{seg_compact, seg_fill, seg_fold};
 use crate::op::{ScanOp, Sum};
-use crate::ops::{permute_unchecked, Bucket};
+use crate::ops::Bucket;
 use crate::parallel;
-use crate::segmented::{seg_inclusive_scan, seg_scan, Segments};
+use crate::scan::reduce;
+use crate::segmented::{seg_combine, Segments};
 
 /// `Err(Error::LengthMismatch)` unless `len` matches the segmentation,
 /// checking the ambient [`crate::deadline`] scope first (every checked
@@ -25,18 +32,36 @@ fn check_seg_len(len: usize, segs: &Segments) -> Result<()> {
 
 /// Segmented `enumerate`: the `i`-th true element *within its segment*
 /// receives the count of true elements before it in the same segment.
+///
+/// One segmented `+`-scan; each flag is loaded inside the scan, as
+/// [`Segments::segment_ids`] does, so no 0/1 vector is built.
 pub fn seg_enumerate(flags: &[bool], segs: &Segments) -> Vec<usize> {
-    let ones = parallel::map_by(flags, usize::from);
-    seg_scan::<Sum, _>(&ones, segs)
+    assert_eq!(flags.len(), segs.len(), "seg_enumerate length mismatch");
+    parallel::engine(
+        parallel::default_schedule(),
+        flags.len(),
+        |i| (usize::from(flags[i]), segs.is_head(i)),
+        (0, false),
+        seg_combine::<Sum, usize>,
+        |i, s: (usize, bool)| if segs.is_head(i) { 0 } else { s.0 },
+        parallel::Mode::ExclusiveFwd,
+        None,
+    )
+    .0
 }
 
 /// Segmented `copy`: copy each segment's first element across the
 /// segment (the paper implements this with a segmented `max-scan`; see
 /// [`crate::simulate::seg_max_scan_via_primitives`] for that route).
+///
+/// Runs on the head-aligned blocked plan (DESIGN §11): each block
+/// carries its segments' heads forward in one pass, and a segment
+/// longer than a block gets a parallel fill. `scan_pram::Ctx::seg_copy`
+/// still charges the paper's 1 segmented scan, because fusion changes
+/// the execution, not the scan-model algorithm.
 pub fn seg_copy<T: ScanElem>(a: &[T], segs: &Segments) -> Vec<T> {
     assert_eq!(a.len(), segs.len(), "seg_copy length mismatch");
-    let heads = segs.head_index_per_element();
-    crate::ops::gather(a, &heads)
+    seg_fill(a, segs.flags(), None::<fn(T, T) -> T>, |r| a[r.start])
 }
 
 /// Checked [`seg_copy`]: `Err(Error::LengthMismatch)` instead of
@@ -47,10 +72,14 @@ pub fn try_seg_copy<T: ScanElem>(a: &[T], segs: &Segments) -> Result<Vec<T>> {
 }
 
 /// Per-segment reduction, one value per segment, in segment order.
+///
+/// Runs on the head-aligned blocked plan (DESIGN §11): each block
+/// folds its segments in one forward pass, writing each segment's
+/// running fold at its ordinal, and a segment longer than a block runs
+/// the flat parallel reduction.
 pub fn seg_reduce<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -> Vec<T> {
     assert_eq!(a.len(), segs.len(), "seg_reduce length mismatch");
-    let inc = seg_inclusive_scan::<O, T>(a, segs);
-    segs.ranges().iter().map(|&(_, e)| inc[e - 1]).collect()
+    seg_fold(a, segs.flags(), O::combine, |r| reduce::<O, T>(&a[r]))
 }
 
 /// Checked [`seg_reduce`]: `Err(Error::LengthMismatch)` instead of
@@ -62,15 +91,17 @@ pub fn try_seg_reduce<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -> Re
 
 /// Segmented `⊕-distribute`: every element receives the reduction of
 /// its own segment.
+///
+/// Runs on the head-aligned blocked plan (DESIGN §11): each block
+/// folds its segments forward, restarting at heads, then copies each
+/// segment's fold backward over it; a segment longer than a block runs
+/// the flat parallel reduction and a parallel fill.
+/// `scan_pram::Ctx::seg_distribute` still charges 1 segmented scan and
+/// 1 elementwise step: fusion changes the execution, not the
+/// scan-model algorithm.
 pub fn seg_distribute<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -> Vec<T> {
     assert_eq!(a.len(), segs.len(), "seg_distribute length mismatch");
-    let inc = seg_inclusive_scan::<O, T>(a, segs);
-    let mut out = Vec::with_capacity(a.len());
-    for (s, e) in segs.ranges() {
-        let total = inc[e - 1];
-        out.extend(std::iter::repeat_n(total, e - s));
-    }
-    out
+    seg_fill(a, segs.flags(), Some(O::combine), |r| reduce::<O, T>(&a[r]))
 }
 
 /// Checked [`seg_distribute`]: `Err(Error::LengthMismatch)` instead of
@@ -89,9 +120,20 @@ pub fn seg_offsets(segs: &Segments) -> Vec<usize> {
 /// Segmented `split`: within each segment independently, pack `false`
 /// elements to the bottom and `true` elements to the top, preserving
 /// order within both groups. Segment boundaries are unchanged.
+///
+/// Runs fused on the head-aligned blocked plan (DESIGN §11), with no
+/// index vector or permute: a backward pass counts each segment's
+/// falses from every element to the segment's end, and a forward pass
+/// moves every element to its slot from its segment's head, its rank
+/// and those counts. A segment longer than a block runs the flat
+/// blocked compaction over its slice.
+/// `scan_pram::Ctx::seg_split` still charges the paper's 3 segmented
+/// scans, 3 elementwise steps and 1 permute, because fusion changes
+/// the execution, not the scan-model algorithm.
 pub fn seg_split<T: ScanElem>(a: &[T], flags: &[bool], segs: &Segments) -> Vec<T> {
-    let index = seg_split_index(flags, segs);
-    permute_unchecked(a, &index)
+    assert_eq!(a.len(), flags.len(), "seg_split length mismatch");
+    assert_eq!(a.len(), segs.len(), "seg_split length mismatch");
+    seg_compact(flags, segs.flags(), |i| a[i], false).values
 }
 
 /// Checked [`seg_split`]: `Err(Error::LengthMismatch)` instead of
@@ -109,26 +151,11 @@ pub fn try_seg_split_index(flags: &[bool], segs: &Segments) -> Result<Vec<usize>
     Ok(seg_split_index(flags, segs))
 }
 
-/// Destination index of each element under [`seg_split`].
+/// Destination index of each element under [`seg_split`], from the
+/// same fused kernel with no values moved.
 pub fn seg_split_index(flags: &[bool], segs: &Segments) -> Vec<usize> {
     assert_eq!(flags.len(), segs.len(), "seg_split length mismatch");
-    let not_flags = parallel::map_by(flags, |f| !f);
-    let enum_false = seg_enumerate(&not_flags, segs);
-    let enum_true = seg_enumerate(flags, segs);
-    // Falses in each segment, distributed to every element of the segment.
-    let ones = parallel::map_by(&not_flags, usize::from);
-    let n_false = seg_distribute::<Sum, _>(&ones, segs);
-    let base = seg_offsets(segs);
-    (0..flags.len())
-        .map(|i| {
-            base[i]
-                + if flags[i] {
-                    n_false[i] + enum_true[i]
-                } else {
-                    enum_false[i]
-                }
-        })
-        .collect()
+    seg_compact(flags, segs.flags(), |_| (), false).index
 }
 
 /// Result of a segmented three-way split ([`seg_split3`]).
@@ -148,10 +175,25 @@ pub struct SegSplit3<T> {
 /// paper's quicksort (§2.3.1, Figure 5): within each segment, move `Lo`
 /// elements first, `Mid` second, `Hi` last, and start a new segment at
 /// the head of each nonempty group.
+///
+/// Runs fused on the head-aligned blocked plan (DESIGN §11), like
+/// [`seg_split`]: a backward pass counts each segment's `Lo` and `Mid`
+/// elements from every element to the segment's end, and a forward
+/// pass writes each value at its slot, its `index` entry and, where a
+/// nonempty group starts, the refined head. A segment longer than a
+/// block runs the flat blocked compaction over its slice. `scan_pram::Ctx::seg_split3` still
+/// charges 5 segmented scans, 4 elementwise steps and 2 permutes, the
+/// paper's schedule: fusion changes the execution, not the scan-model
+/// algorithm.
 pub fn seg_split3<T: ScanElem>(a: &[T], buckets: &[Bucket], segs: &Segments) -> SegSplit3<T> {
     assert_eq!(a.len(), buckets.len(), "seg_split3 length mismatch");
     assert_eq!(a.len(), segs.len(), "seg_split3 length mismatch");
-    seg_split3_inner(a, buckets, segs)
+    let cols = seg_compact(buckets, segs.flags(), |i| a[i], true);
+    SegSplit3 {
+        values: cols.values,
+        segments: Segments::from_flags(cols.heads),
+        index: cols.index,
+    }
 }
 
 /// Checked [`seg_split3`]: `Err(Error::LengthMismatch)` instead of
@@ -168,52 +210,7 @@ pub fn try_seg_split3<T: ScanElem>(
         });
     }
     check_seg_len(a.len(), segs)?;
-    Ok(seg_split3_inner(a, buckets, segs))
-}
-
-fn seg_split3_inner<T: ScanElem>(a: &[T], buckets: &[Bucket], segs: &Segments) -> SegSplit3<T> {
-    let is = |b: Bucket| -> Vec<usize> {
-        buckets.iter().map(|&x| usize::from(x == b)).collect()
-    };
-    let lo = is(Bucket::Lo);
-    let mid = is(Bucket::Mid);
-    let enum_lo = seg_scan::<Sum, _>(&lo, segs);
-    let enum_mid = seg_scan::<Sum, _>(&mid, segs);
-    let hi = is(Bucket::Hi);
-    let enum_hi = seg_scan::<Sum, _>(&hi, segs);
-    let n_lo = seg_distribute::<Sum, _>(&lo, segs);
-    let n_mid = seg_distribute::<Sum, _>(&mid, segs);
-    let base = seg_offsets(segs);
-    let index: Vec<usize> = (0..a.len())
-        .map(|i| {
-            base[i]
-                + match buckets[i] {
-                    Bucket::Lo => enum_lo[i],
-                    Bucket::Mid => n_lo[i] + enum_mid[i],
-                    Bucket::Hi => n_lo[i] + n_mid[i] + enum_hi[i],
-                }
-        })
-        .collect();
-    let values = permute_unchecked(a, &index);
-    // New segment heads: the first element of each nonempty group. An
-    // element is first of its group exactly when its within-group
-    // enumerate is zero, so scatter a flag to its destination.
-    let mut flags = vec![false; a.len()];
-    for i in 0..a.len() {
-        let first_of_group = match buckets[i] {
-            Bucket::Lo => enum_lo[i] == 0,
-            Bucket::Mid => enum_mid[i] == 0,
-            Bucket::Hi => enum_hi[i] == 0,
-        };
-        if first_of_group {
-            flags[index[i]] = true;
-        }
-    }
-    SegSplit3 {
-        values,
-        segments: Segments::from_flags(flags),
-        index,
-    }
+    Ok(seg_split3(a, buckets, segs))
 }
 
 #[cfg(test)]
