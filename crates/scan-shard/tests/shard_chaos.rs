@@ -11,7 +11,7 @@ use std::time::Duration;
 use scan_core::{Max, Segments, Sum};
 use scan_fault::{BreakerConfig, BreakerState, ChaosPlan};
 use scan_shard::{
-    LossCause, RecoveryPolicy, ScanKind, ShardConfig, ShardError, ShardedExecutor,
+    LossCause, RecoveryPolicy, ScanKind, ShardConfig, ShardError, ShardHealth, ShardedExecutor,
 };
 
 fn data(n: usize) -> Vec<u64> {
@@ -334,3 +334,210 @@ fn health_reports_breaker_state() {
         .any(|s| matches!(s.state, BreakerState::Open { .. }) && s.skipped >= 1),
         "{h:?}");
 }
+
+/// Elements of the large-n grid: every shard's range spans several
+/// 2^16-element blocks, and the tail leaves a short block.
+const BIG: usize = 3 * (1 << 16) + 17;
+
+/// Heads at every range start of a 1-, 2- and 3-shard partition (the
+/// live shard count changes as chaos takes shards out), at every 2^16
+/// boundary, and every 37 elements.
+fn big_heads() -> Vec<bool> {
+    let mut heads: Vec<bool> = (0..BIG)
+        .map(|i| i % 37 == 0 || i % (1 << 16) == 0)
+        .collect();
+    for k in 1..=3 {
+        let (base, extra) = (BIG / k, BIG % k);
+        let mut start = 0;
+        for i in 0..k {
+            heads[start] = true;
+            start += base + usize::from(i < extra);
+        }
+    }
+    heads
+}
+
+/// Every counter of a health snapshot on one line: the run-wide
+/// `(runs, degraded_runs, losses, recoveries, inline_rescues)`, then
+/// per shard `(served, lies, panics, watchdog_losses, disconnects,
+/// quarantines, probes, skipped, alive)` and its breaker state.
+fn fingerprint(h: &ShardHealth) -> String {
+    let mut s = format!(
+        "{:?}",
+        (
+            h.runs,
+            h.degraded_runs,
+            h.losses,
+            h.recoveries,
+            h.inline_rescues
+        )
+    );
+    for sh in &h.shards {
+        s += &format!(
+            " {:?} {:?}",
+            (
+                sh.served,
+                sh.lies,
+                sh.panics,
+                sh.watchdog_losses,
+                sh.disconnects,
+                sh.quarantines,
+                sh.probes,
+                sh.skipped,
+                sh.alive,
+            ),
+            sh.state
+        );
+    }
+    s
+}
+
+/// Four runs (alternating `+` and `max`) of every cell of the grid
+/// shards {1, 2, 3} x `threads_per_shard` {1, 2} x {flat, segmented}
+/// under `plan`, each checked against the single-pool kernels. Returns
+/// one `"<shards>x<threads> <flat|seg> <fingerprint>"` line per cell.
+fn large_n_grid(plan: ChaosPlan, watchdog: Duration) -> Vec<String> {
+    let a = data(BIG);
+    let heads = big_heads();
+    let segs = Segments::from_flags(heads.clone());
+    let mut lines = Vec::new();
+    for shards in 1..=3 {
+        for threads_per_shard in 1..=2 {
+            for seg in [false, true] {
+                let ex = ShardedExecutor::new(ShardConfig {
+                    threads_per_shard,
+                    watchdog,
+                    breaker: BreakerConfig {
+                        failure_threshold: 1,
+                        base_quarantine: 2,
+                        jitter: 0,
+                        ..BreakerConfig::default()
+                    },
+                    ..cfg(shards, plan)
+                });
+                for run in 0..4 {
+                    let (kind, got, want) = match (run % 2 == 0, seg) {
+                        (true, false) => (
+                            ScanKind::Sum,
+                            ex.scan(ScanKind::Sum, &a),
+                            scan_core::scan::<Sum, _>(&a),
+                        ),
+                        (false, false) => (
+                            ScanKind::Max,
+                            ex.scan(ScanKind::Max, &a),
+                            scan_core::scan::<Max, _>(&a),
+                        ),
+                        (true, true) => (
+                            ScanKind::Sum,
+                            ex.seg_scan(ScanKind::Sum, &a, &heads),
+                            scan_core::seg_scan::<Sum, u64>(&a, &segs),
+                        ),
+                        (false, true) => (
+                            ScanKind::Max,
+                            ex.seg_scan(ScanKind::Max, &a, &heads),
+                            scan_core::seg_scan::<Max, u64>(&a, &segs),
+                        ),
+                    };
+                    assert!(
+                        got.as_ref() == Ok(&want),
+                        "{shards}x{threads_per_shard} seg={seg} run {run} {kind:?}: wrong output"
+                    );
+                }
+                let tag = if seg { "seg" } else { "flat" };
+                lines.push(format!(
+                    "{shards}x{threads_per_shard} {tag} {}",
+                    fingerprint(&ex.health())
+                ));
+            }
+        }
+    }
+    lines
+}
+
+fn assert_golden(got: &[String], want: &[&str]) {
+    for (g, w) in got.iter().zip(want) {
+        assert_eq!(g, w);
+    }
+    assert_eq!(got.len(), want.len(), "{got:#?}");
+}
+
+/// Lying shards at large n: every lie is caught, repaired and blamed
+/// exactly as recorded.
+#[test]
+fn large_n_lies_keep_golden_health() {
+    let plan = ChaosPlan {
+        carry_corrupt_every: 3,
+        ..ChaosPlan::quiet(31)
+    };
+    let got = large_n_grid(plan, Duration::from_secs(5));
+    assert_golden(&got, GOLDEN_LIES);
+}
+
+/// Killed shards at large n, down to inline rescues and degraded runs.
+#[test]
+fn large_n_kills_keep_golden_health() {
+    let plan = ChaosPlan {
+        shard_kill_every: 4,
+        ..ChaosPlan::quiet(37)
+    };
+    let got = large_n_grid(plan, Duration::from_secs(5));
+    assert_golden(&got, GOLDEN_KILLS);
+}
+
+/// Stalled shards at large n. A delayed job sleeps 300 ms against a
+/// 200 ms watchdog, so it is always lost; a job queued behind that
+/// sleep is issued at least one watchdog later and so waits at most
+/// 100 ms plus its own work, well inside the watchdog.
+#[test]
+fn large_n_stalls_keep_golden_health() {
+    let plan = ChaosPlan {
+        shard_delay_every: 5,
+        delay_us: 300_000,
+        ..ChaosPlan::quiet(41)
+    };
+    let got = large_n_grid(plan, Duration::from_millis(200));
+    assert_golden(&got, GOLDEN_STALLS);
+}
+
+const GOLDEN_LIES: &[&str] = &[
+    "1x1 flat (4, 1, 2, 0, 1) (6, 2, 0, 0, 0, 2, 1, 1, true) Open { until: 8, backoff: 4 }",
+    "1x1 seg (4, 1, 2, 0, 1) (6, 2, 0, 0, 0, 2, 1, 1, true) Open { until: 8, backoff: 4 }",
+    "1x2 flat (4, 1, 2, 0, 1) (6, 2, 0, 0, 0, 2, 1, 1, true) Open { until: 8, backoff: 4 }",
+    "1x2 seg (4, 1, 2, 0, 1) (6, 2, 0, 0, 0, 2, 1, 1, true) Open { until: 8, backoff: 4 }",
+    "2x1 flat (4, 0, 3, 0, 3) (6, 2, 0, 0, 0, 2, 1, 1, true) Open { until: 6, backoff: 2 } (6, 1, 0, 0, 0, 1, 1, 1, true) Closed",
+    "2x1 seg (4, 0, 3, 0, 3) (6, 2, 0, 0, 0, 2, 1, 1, true) Open { until: 6, backoff: 2 } (6, 1, 0, 0, 0, 1, 1, 1, true) Closed",
+    "2x2 flat (4, 0, 3, 0, 3) (6, 2, 0, 0, 0, 2, 1, 1, true) Open { until: 6, backoff: 2 } (6, 1, 0, 0, 0, 1, 1, 1, true) Closed",
+    "2x2 seg (4, 0, 3, 0, 3) (6, 2, 0, 0, 0, 2, 1, 1, true) Open { until: 6, backoff: 2 } (6, 1, 0, 0, 0, 1, 1, 1, true) Closed",
+    "3x1 flat (4, 0, 4, 0, 3) (6, 1, 0, 0, 0, 1, 1, 1, true) Closed (6, 1, 0, 0, 0, 1, 0, 1, true) Open { until: 5, backoff: 2 } (2, 2, 0, 0, 0, 2, 0, 3, true) Open { until: 5, backoff: 4 }",
+    "3x1 seg (4, 0, 4, 0, 3) (6, 1, 0, 0, 0, 1, 1, 1, true) Closed (6, 1, 0, 0, 0, 1, 0, 1, true) Open { until: 5, backoff: 2 } (2, 2, 0, 0, 0, 2, 0, 3, true) Open { until: 5, backoff: 4 }",
+    "3x2 flat (4, 0, 4, 0, 3) (6, 1, 0, 0, 0, 1, 1, 1, true) Closed (6, 1, 0, 0, 0, 1, 0, 1, true) Open { until: 5, backoff: 2 } (2, 2, 0, 0, 0, 2, 0, 3, true) Open { until: 5, backoff: 4 }",
+    "3x2 seg (4, 0, 4, 0, 3) (6, 1, 0, 0, 0, 1, 1, 1, true) Closed (6, 1, 0, 0, 0, 1, 0, 1, true) Open { until: 5, backoff: 2 } (2, 2, 0, 0, 0, 2, 0, 3, true) Open { until: 5, backoff: 4 }",
+];
+const GOLDEN_KILLS: &[&str] = &[
+    "1x1 flat (4, 2, 1, 0, 1) (3, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 4, backoff: 2 }",
+    "1x1 seg (4, 2, 1, 0, 1) (3, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 4, backoff: 2 }",
+    "1x2 flat (4, 2, 1, 0, 1) (3, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 4, backoff: 2 }",
+    "1x2 seg (4, 2, 1, 0, 1) (3, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 4, backoff: 2 }",
+    "2x1 flat (4, 1, 2, 1, 2) (5, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 5, backoff: 2 } (1, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 3, backoff: 2 }",
+    "2x1 seg (4, 1, 2, 1, 2) (5, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 5, backoff: 2 } (1, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 3, backoff: 2 }",
+    "2x2 flat (4, 1, 2, 1, 2) (5, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 5, backoff: 2 } (1, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 3, backoff: 2 }",
+    "2x2 seg (4, 1, 2, 1, 2) (5, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 5, backoff: 2 } (1, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 3, backoff: 2 }",
+    "3x1 flat (4, 2, 3, 2, 1) (1, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 3, backoff: 2 } (2, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 4, backoff: 2 } (6, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 4, backoff: 2 }",
+    "3x1 seg (4, 2, 3, 2, 1) (1, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 3, backoff: 2 } (2, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 4, backoff: 2 } (6, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 4, backoff: 2 }",
+    "3x2 flat (4, 2, 3, 2, 1) (1, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 3, backoff: 2 } (2, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 4, backoff: 2 } (6, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 4, backoff: 2 }",
+    "3x2 seg (4, 2, 3, 2, 1) (1, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 3, backoff: 2 } (2, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 4, backoff: 2 } (6, 0, 0, 0, 1, 1, 0, 0, false) Open { until: 4, backoff: 2 }",
+];
+const GOLDEN_STALLS: &[&str] = &[
+    "1x1 flat (4, 1, 1, 0, 2) (4, 0, 0, 1, 0, 1, 0, 1, true) Open { until: 5, backoff: 2 }",
+    "1x1 seg (4, 1, 1, 0, 2) (4, 0, 0, 1, 0, 1, 0, 1, true) Open { until: 5, backoff: 2 }",
+    "1x2 flat (4, 1, 1, 0, 2) (4, 0, 0, 1, 0, 1, 0, 1, true) Open { until: 5, backoff: 2 }",
+    "1x2 seg (4, 1, 1, 0, 2) (4, 0, 0, 1, 0, 1, 0, 1, true) Open { until: 5, backoff: 2 }",
+    "2x1 flat (4, 0, 2, 2, 2) (4, 0, 0, 1, 0, 1, 1, 1, true) Closed (6, 0, 0, 1, 0, 1, 0, 1, true) Open { until: 5, backoff: 2 }",
+    "2x1 seg (4, 0, 2, 2, 2) (4, 0, 0, 1, 0, 1, 1, 1, true) Closed (6, 0, 0, 1, 0, 1, 0, 1, true) Open { until: 5, backoff: 2 }",
+    "2x2 flat (4, 0, 2, 2, 2) (4, 0, 0, 1, 0, 1, 1, 1, true) Closed (6, 0, 0, 1, 0, 1, 0, 1, true) Open { until: 5, backoff: 2 }",
+    "2x2 seg (4, 0, 2, 2, 2) (4, 0, 0, 1, 0, 1, 1, 1, true) Closed (6, 0, 0, 1, 0, 1, 0, 1, true) Open { until: 5, backoff: 2 }",
+    "3x1 flat (4, 0, 4, 4, 0) (5, 0, 0, 2, 0, 2, 1, 1, true) Open { until: 8, backoff: 4 } (2, 0, 0, 2, 0, 2, 1, 2, true) Open { until: 7, backoff: 4 } (11, 0, 0, 0, 0, 0, 0, 0, true) Closed",
+    "3x1 seg (4, 0, 4, 4, 0) (5, 0, 0, 2, 0, 2, 1, 1, true) Open { until: 8, backoff: 4 } (2, 0, 0, 2, 0, 2, 1, 2, true) Open { until: 7, backoff: 4 } (11, 0, 0, 0, 0, 0, 0, 0, true) Closed",
+    "3x2 flat (4, 0, 4, 4, 0) (5, 0, 0, 2, 0, 2, 1, 1, true) Open { until: 8, backoff: 4 } (2, 0, 0, 2, 0, 2, 1, 2, true) Open { until: 7, backoff: 4 } (11, 0, 0, 0, 0, 0, 0, 0, true) Closed",
+    "3x2 seg (4, 0, 4, 4, 0) (5, 0, 0, 2, 0, 2, 1, 1, true) Open { until: 8, backoff: 4 } (2, 0, 0, 2, 0, 2, 1, 2, true) Open { until: 7, backoff: 4 } (11, 0, 0, 0, 0, 0, 0, 0, true) Closed",
+];
