@@ -9,14 +9,30 @@
 //! 2. **Combine**: the executor tree-combines the totals into
 //!    per-shard carries ([`crate::combine`]).
 //! 3. **Scan**: every shard produces the exclusive scan of its range
-//!    seeded with its carry.
+//!    seeded with its carry. Slot 0's job carries the run's full-length
+//!    output buffer (zeroed, so its pages fault only when written): the
+//!    shard scans its range into it in place and sends it back. The
+//!    other slots reply with range-length pieces.
+//! 4. **Verify and assemble**: one parallel pass on the global pool
+//!    ([`crate::assemble`]) copies the pieces into the buffer and checks
+//!    every element's local recurrence and every claimed total. Only if
+//!    a check fails does the sequential loop run, to repair the output
+//!    and attribute the fault.
+//!
+//! So the data moves once for the reduce, once for the scan and once
+//! more for the pass, and no pass over all n elements runs on one
+//! thread. If the buffer does not come back (its shard was lost or
+//! late, or the range was re-executed elsewhere), the executor
+//! allocates the output itself and slot 0 becomes a piece. Every
+//! position outside slot 0's range is overwritten by the pass, so
+//! nothing the buffer's holder wrote there is trusted.
 //!
 //! Around that schedule sits the robustness machinery:
 //!
 //! - **Loss detection** — a shard is lost for a run when it reports a
 //!   contained worker panic, misses the watchdog window, closes its
-//!   channel (dead supervisor), or returns output that fails the O(n)
-//!   verification pass (a *lying* shard).
+//!   channel (dead supervisor), or returns output that fails
+//!   verification (a *lying* shard).
 //! - **Recovery ladder** — lost ranges are re-executed on surviving
 //!   shards with seeded, capped backoff between attempts
 //!   ([`scan_core::backoff`]); if every survivor fails too, the
@@ -44,6 +60,7 @@ use scan_core::backoff::Backoff;
 use scan_core::{ExecError, Max, ScanDeadline, Segments, Sum};
 use scan_fault::{Breaker, BreakerConfig, ChaosEvent, ChaosPlan, Gate};
 
+use crate::assemble::assemble;
 use crate::combine::exclusive_combine;
 use crate::error::{LossCause, ShardError};
 use crate::health::{ShardHealth, ShardStatus};
@@ -51,7 +68,7 @@ use crate::combine::{load_pair, pair_combine};
 use crate::pool::{Job, Output, Phase, Reply, Shard};
 
 /// Lock a mutex, ignoring poisoning.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -115,9 +132,11 @@ pub struct ShardConfig {
     pub backoff: Backoff,
     /// Per-shard circuit-breaker tuning, on the executor's run clock.
     pub breaker: BreakerConfig,
-    /// Run the O(n) postcondition verification after assembly. This is
+    /// Check the output while assembling it: the parallel pass checks
+    /// every element's recurrence and every claimed total, and only a
+    /// failed check runs the sequential repair-and-blame loop. This is
     /// what catches lying shards; disabling it trades that detection
-    /// for one less sequential pass.
+    /// for a pass that only copies.
     pub verify: bool,
     /// Minimum admitted shards required to run sharded; below this the
     /// run degrades (or fails, under [`RecoveryPolicy::Fail`]).
@@ -291,12 +310,12 @@ impl ShardedExecutor {
         inner.runs += 1;
         inner.clock += 1;
         let clock = inner.clock;
+        if let Some(d) = &deadline {
+            d.check().map_err(ShardError::from)?;
+        }
         let n = data.len();
         if n == 0 {
             return Ok(Vec::new());
-        }
-        if let Some(d) = &deadline {
-            d.check().map_err(ShardError::from)?;
         }
 
         // Admission: breaker-gate every reachable shard.
@@ -342,7 +361,7 @@ impl ShardedExecutor {
         // Round 1: reduce every range to its pair total.
         let r1 = run_phase(
             inner, kind, data, &heads, &deadline, &ranges, &workers, &admitted, &probing,
-            &mut healthy, clock, None,
+            &mut healthy, clock, None, None,
         )?;
         let mut totals = Vec::with_capacity(k);
         let mut producers1 = Vec::with_capacity(k);
@@ -368,17 +387,27 @@ impl ShardedExecutor {
         });
 
         // Round 2: each range's exclusive scan, seeded with its carry.
+        // Slot 0 scans straight into the run's output: zeroed pages,
+        // faulted only when written.
         let r2 = run_phase(
             inner, kind, data, &heads, &deadline, &ranges, &workers, &admitted, &probing,
-            &mut healthy, clock, Some(&carries),
+            &mut healthy, clock, Some(&carries), Some(vec![0; n]),
         )?;
-        let mut out = Vec::with_capacity(n);
+        let heads = heads.as_deref().map(Vec::as_slice);
+        let mut buffer = None;
+        let mut pieces = Vec::with_capacity(k);
         let mut producers2 = Vec::with_capacity(k);
         for (slot, (piece, producer)) in r2.into_iter().enumerate() {
             let range = ranges[slot].clone();
             match piece {
+                // Slot 0's buffer came back with its range in place.
+                Output::Scanned(v) if slot == 0 && v.len() == n => {
+                    buffer = Some(v);
+                    pieces.push(None);
+                    producers2.push(producer);
+                }
                 Output::Scanned(v) if v.len() == range.len() => {
-                    out.extend_from_slice(&v);
+                    pieces.push(Some(v));
                     producers2.push(producer);
                 }
                 // A wrong-length or wrong-phase result is a lie in
@@ -386,52 +415,38 @@ impl ShardedExecutor {
                 // verify pass below settle attribution.
                 _ => {
                     inner.inline_rescues += 1;
-                    out.extend_from_slice(&inline_scan(
-                        kind,
-                        data,
-                        heads.as_deref().map(Vec::as_slice),
-                        range,
-                        carries[slot],
-                    ));
+                    pieces.push(Some(inline_scan(kind, data, heads, range, carries[slot])));
                     producers2.push(INLINE);
                 }
             }
         }
+        // Without the buffer (slot 0 lost, late, or re-executed), slot
+        // 0 is a piece like the others.
+        let mut out = buffer.unwrap_or_else(|| vec![0; n]);
+        let claims = Claims {
+            kind,
+            data,
+            heads,
+            ranges: &ranges,
+            totals: &totals,
+            carries: &carries,
+            producers1: &producers1,
+            producers2: &producers2,
+        };
 
-        // Verify: one sequential O(n) pass recomputes the recurrence,
-        // fixes any wrong element in place, and attributes lies.
-        if inner.cfg.verify {
-            let mut state = (kind.identity(), false);
-            for slot in 0..k {
-                let carry_good = carries[slot] == state;
-                let mut elem_bad = false;
-                let mut true_total = (kind.identity(), false);
-                for g in ranges[slot].clone() {
-                    let e = load_pair(data, heads.as_deref().map(Vec::as_slice), g);
-                    let expect = if e.1 { kind.identity() } else { state.0 };
-                    if out[g] != expect {
-                        elem_bad = true;
-                        out[g] = expect;
-                    }
-                    state = pair_combine(kind, state, e);
-                    true_total = pair_combine(kind, true_total, e);
-                }
-                if elem_bad {
-                    inner.inline_rescues += 1;
-                }
-                // A wrong claimed total is a round-1 lie by this
-                // slot's reduce producer.
-                if totals[slot] != true_total {
-                    blame(inner, &mut healthy, producers1[slot], &probing, clock)?;
-                }
-                // Wrong elements under a correct carry are a round-2
-                // lie by this slot's scan producer. (Under a corrupted
-                // carry the mismatch is the upstream liar's fault,
-                // already blamed via its total.)
-                if elem_bad && carry_good {
-                    blame(inner, &mut healthy, producers2[slot], &probing, clock)?;
-                }
-            }
+        // Verify-and-assemble: one parallel pass copies the pieces into
+        // place and checks them; only a failed check runs the
+        // sequential loop that repairs and attributes.
+        let holds = assemble(
+            &claims,
+            &pieces,
+            &mut out,
+            inner.cfg.verify,
+            deadline.as_ref(),
+        )?;
+        drop(pieces);
+        if !holds {
+            fix_and_blame(inner, &mut healthy, &probing, clock, &claims, &mut out)?;
         }
 
         // Close the loop on the breakers: every shard that worked this
@@ -461,6 +476,70 @@ fn partition(n: usize, k: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
+/// A sharded run's input and what each slot's producers claimed, as
+/// the verify pass checks them.
+pub(crate) struct Claims<'a> {
+    pub kind: ScanKind,
+    pub data: &'a [u64],
+    pub heads: Option<&'a [bool]>,
+    /// One contiguous range per slot, in order, covering the input.
+    pub ranges: &'a [Range<usize>],
+    /// Each slot's round-1 pair total, as its producer claimed it.
+    pub totals: &'a [(u64, bool)],
+    /// Each slot's carry, combined from `totals`.
+    pub carries: &'a [(u64, bool)],
+    /// Each slot's round-1 producer (a shard, or [`INLINE`]).
+    pub producers1: &'a [usize],
+    /// Each slot's round-2 producer.
+    pub producers2: &'a [usize],
+}
+
+/// The sequential repair-and-blame loop: one O(n) pass recomputes the
+/// recurrence over the assembled `out`, fixes any wrong element in
+/// place, and attributes lies.
+fn fix_and_blame(
+    inner: &mut Inner,
+    healthy: &mut [bool],
+    probing: &[bool],
+    clock: u64,
+    c: &Claims<'_>,
+    out: &mut [u64],
+) -> Result<(), ShardError> {
+    let kind = c.kind;
+    let mut state = (kind.identity(), false);
+    for slot in 0..c.ranges.len() {
+        let carry_good = c.carries[slot] == state;
+        let mut elem_bad = false;
+        let mut true_total = (kind.identity(), false);
+        for g in c.ranges[slot].clone() {
+            let e = load_pair(c.data, c.heads, g);
+            let expect = if e.1 { kind.identity() } else { state.0 };
+            if out[g] != expect {
+                elem_bad = true;
+                out[g] = expect;
+            }
+            state = pair_combine(kind, state, e);
+            true_total = pair_combine(kind, true_total, e);
+        }
+        if elem_bad {
+            inner.inline_rescues += 1;
+        }
+        // A wrong claimed total is a round-1 lie by this slot's reduce
+        // producer.
+        if c.totals[slot] != true_total {
+            blame(inner, healthy, c.producers1[slot], probing, clock)?;
+        }
+        // Wrong elements under a correct carry are a round-2 lie by
+        // this slot's scan producer. (Under a corrupted carry the
+        // mismatch is the upstream liar's fault, already blamed via
+        // its total.)
+        if elem_bad && carry_good {
+            blame(inner, healthy, c.producers2[slot], probing, clock)?;
+        }
+    }
+    Ok(())
+}
+
 /// Issue one job to `shard`, drawing its chaos event from the plan.
 /// `None` means the shard is unreachable (send failed).
 #[allow(clippy::too_many_arguments)]
@@ -472,6 +551,7 @@ fn issue(
     deadline: &Option<ScanDeadline>,
     range: Range<usize>,
     phase: Phase,
+    out: Option<Vec<u64>>,
     shard: usize,
 ) -> Option<mpsc::Receiver<Reply>> {
     inner.jobs += 1;
@@ -486,6 +566,7 @@ fn issue(
         heads: heads.clone(),
         range,
         phase,
+        out,
         inject,
         deadline: deadline.clone(),
         reply: tx,
@@ -540,6 +621,7 @@ fn blame(
 
 /// Run one phase (reduce, or scan when `carries` is given) across the
 /// worker shards, with watchdog collection and the recovery ladder.
+/// `out`, if given, rides with slot 0's first job (see [`Job::out`]).
 /// Returns each slot's output and its producer shard (or [`INLINE`]).
 #[allow(clippy::too_many_arguments)]
 fn run_phase(
@@ -555,6 +637,7 @@ fn run_phase(
     healthy: &mut [bool],
     clock: u64,
     carries: Option<&[(u64, bool)]>,
+    mut out: Option<Vec<u64>>,
 ) -> Result<Vec<(Output, usize)>, ShardError> {
     let phase_for = |slot: usize| match carries {
         None => Phase::Reduce,
@@ -582,6 +665,7 @@ fn run_phase(
             deadline,
             range.clone(),
             phase_for(slot),
+            if slot == 0 { out.take() } else { None },
             s,
         ) {
             Some(rx) => pending.push((slot, s, rx)),
@@ -646,6 +730,7 @@ fn run_phase(
                 deadline,
                 range.clone(),
                 phase_for(slot),
+                None,
                 s,
             ) else {
                 lose(inner, healthy, s, LossCause::Disconnected, probing, clock)?;
@@ -781,6 +866,7 @@ fn degraded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assemble::BLOCK;
 
     fn data(n: usize) -> Vec<u64> {
         (0..n as u64).map(|i| (i * 31 + 7) % 257).collect()
@@ -869,8 +955,221 @@ mod tests {
         let ex = ShardedExecutor::new(ShardConfig::default());
         let d = ScanDeadline::manual();
         d.cancel();
-        let a = data(100);
-        let got = scan_core::deadline::with_deadline(&d, || ex.scan(ScanKind::Sum, &a));
-        assert_eq!(got, Err(ShardError::Exec(ExecError::Cancelled)));
+        for n in [0, 100] {
+            let a = data(n);
+            let got = scan_core::deadline::with_deadline(&d, || ex.scan(ScanKind::Sum, &a));
+            assert_eq!(got, Err(ShardError::Exec(ExecError::Cancelled)), "n = {n}");
+        }
+    }
+
+    /// Elements of the verify-and-assemble fixtures: three slots of two
+    /// verify blocks each, the second of each short.
+    const BIG: usize = 3 * BLOCK + 17;
+    /// Shard `s` produced slot `s`'s total and slot `(s + 2) % 3`'s scan,
+    /// so a blame names the round it came from.
+    const PRODUCERS1: [usize; 3] = [0, 1, 2];
+    const PRODUCERS2: [usize; 3] = [1, 2, 0];
+
+    /// One run's input: the data and, when segmented, heads every 37
+    /// elements (never at a range start, so carries matter).
+    fn fixture(seg: bool) -> (Vec<u64>, Option<Vec<bool>>) {
+        let heads = seg.then(|| (0..BIG).map(|i| i % 37 == 11).collect());
+        (data(BIG), heads)
+    }
+
+    /// Honest round-2 pieces under `totals`' carries, as shards handed
+    /// those carries would scan.
+    fn honest_pieces(
+        kind: ScanKind,
+        a: &[u64],
+        heads: Option<&[bool]>,
+        totals: &[(u64, bool)],
+    ) -> Vec<Vec<u64>> {
+        let carries = exclusive_combine(totals, (kind.identity(), false), |x, y| {
+            pair_combine(kind, x, y)
+        });
+        partition(a.len(), 3)
+            .into_iter()
+            .zip(carries)
+            .map(|(r, carry)| inline_scan(kind, a, heads, r, carry))
+            .collect()
+    }
+
+    /// Settle a fabricated round 2 on a fresh three-shard executor: as
+    /// `run` does when slot 0's buffer comes back (the parallel pass,
+    /// then the sequential loop only if the pass fails) when `parallel`,
+    /// else with the sequential loop alone over the concatenated pieces.
+    /// Returns whether the pass held, the output and the health.
+    fn settle(
+        kind: ScanKind,
+        a: &[u64],
+        heads: Option<&[bool]>,
+        totals: &[(u64, bool)],
+        pieces: &[Vec<u64>],
+        parallel: bool,
+    ) -> (bool, Vec<u64>, ShardHealth) {
+        let ranges = partition(a.len(), 3);
+        let carries = exclusive_combine(totals, (kind.identity(), false), |x, y| {
+            pair_combine(kind, x, y)
+        });
+        let c = Claims {
+            kind,
+            data: a,
+            heads,
+            ranges: &ranges,
+            totals,
+            carries: &carries,
+            producers1: &PRODUCERS1,
+            producers2: &PRODUCERS2,
+        };
+        let ex = ShardedExecutor::new(ShardConfig {
+            shards: 3,
+            ..ShardConfig::default()
+        });
+        let (mut healthy, probing) = ([true; 3], [false; 3]);
+        let mut inner = lock(&ex.inner);
+        let (holds, out) = if parallel {
+            // Slot 0's range in the buffer, garbage everywhere else: the
+            // pass must overwrite all of it.
+            let mut out = vec![0xdead_beef; a.len()];
+            out[ranges[0].clone()].copy_from_slice(&pieces[0]);
+            let rest = [None, Some(pieces[1].clone()), Some(pieces[2].clone())];
+            let holds = assemble(&c, &rest, &mut out, true, None).unwrap();
+            if !holds {
+                fix_and_blame(&mut inner, &mut healthy, &probing, 1, &c, &mut out).unwrap();
+            }
+            (holds, out)
+        } else {
+            let mut out = pieces.concat();
+            fix_and_blame(&mut inner, &mut healthy, &probing, 1, &c, &mut out).unwrap();
+            (false, out)
+        };
+        drop(inner);
+        (holds, out, ex.health())
+    }
+
+    /// Every single-element corruption at a range or verify-block edge,
+    /// and every corrupted claimed total, is caught by the parallel pass,
+    /// then repaired and blamed exactly as the sequential loop alone
+    /// does it.
+    #[test]
+    fn verify_pass_catches_and_blames_like_the_sequential_loop() {
+        let ranges = partition(BIG, 3);
+        let mut edges: Vec<usize> = ranges
+            .iter()
+            .flat_map(|r| {
+                r.clone()
+                    .step_by(BLOCK)
+                    .map(|lo| (lo, (lo + BLOCK).min(r.end)))
+            })
+            .flat_map(|(lo, hi)| [lo, hi - 1])
+            .collect();
+        edges.dedup();
+        assert_eq!(edges.len(), 12, "two blocks per range: {edges:?}");
+        for kind in [ScanKind::Sum, ScanKind::Max] {
+            for seg in [false, true] {
+                let (a, heads) = fixture(seg);
+                let heads = heads.as_deref();
+                let totals: Vec<_> = ranges
+                    .iter()
+                    .map(|r| inline_total(kind, &a, heads, r.clone()))
+                    .collect();
+                let pieces = honest_pieces(kind, &a, heads, &totals);
+                let want = pieces.concat();
+
+                let (holds, out, h) = settle(kind, &a, heads, &totals, &pieces, true);
+                assert!(holds && out == want, "{kind:?} seg={seg}: clean run");
+                assert_eq!((h.losses, h.inline_rescues), (0, 0));
+
+                // One flipped output element at every edge.
+                for &g in &edges {
+                    let mut bad = pieces.clone();
+                    let slot = ranges.iter().position(|r| r.contains(&g)).unwrap();
+                    bad[slot][g - ranges[slot].start] ^= 1;
+                    let (holds, out, h) = settle(kind, &a, heads, &totals, &bad, true);
+                    let (_, seq_out, seq_h) = settle(kind, &a, heads, &totals, &bad, false);
+                    let at = format!("{kind:?} seg={seg} flip at {g}");
+                    assert!(!holds, "{at}: not caught");
+                    assert_eq!(out, want, "{at}: not repaired");
+                    assert_eq!(seq_out, want, "{at}");
+                    assert_eq!(h, seq_h, "{at}: blamed differently");
+                    assert_eq!(h.shards[PRODUCERS2[slot]].lies, 1, "{at}: {h:?}");
+                }
+
+                // One slot scanned from a wrong carry under true totals:
+                // its elements are consistent among themselves, so only
+                // the check at its first element can catch it.
+                for slot in 0..3 {
+                    let mut bad = pieces.clone();
+                    let mut carry = exclusive_combine(&totals, (kind.identity(), false), |x, y| {
+                        pair_combine(kind, x, y)
+                    })[slot];
+                    carry.0 ^= 1;
+                    bad[slot] = inline_scan(kind, &a, heads, ranges[slot].clone(), carry);
+                    if bad[slot] == pieces[slot] {
+                        // A segmented scan restarts at element 0.
+                        continue;
+                    }
+                    let (holds, out, h) = settle(kind, &a, heads, &totals, &bad, true);
+                    let (_, seq_out, seq_h) = settle(kind, &a, heads, &totals, &bad, false);
+                    let at = format!("{kind:?} seg={seg} slot {slot} shifted");
+                    assert!(!holds, "{at}: not caught");
+                    assert_eq!(out, want, "{at}: not repaired");
+                    assert_eq!(seq_out, want, "{at}");
+                    assert_eq!(h, seq_h, "{at}: blamed differently");
+                    assert_eq!(h.shards[PRODUCERS2[slot]].lies, 1, "{at}: {h:?}");
+                }
+
+                // One lying claimed total per slot; honest shards then
+                // scan under the carries combined from it. The last
+                // slot's total feeds no carry.
+                for slot in 0..3 {
+                    let mut lied = totals.clone();
+                    lied[slot].0 ^= 1;
+                    let bad = honest_pieces(kind, &a, heads, &lied);
+                    let (holds, out, h) = settle(kind, &a, heads, &lied, &bad, true);
+                    let (_, seq_out, seq_h) = settle(kind, &a, heads, &lied, &bad, false);
+                    let at = format!("{kind:?} seg={seg} total of slot {slot}");
+                    assert!(!holds, "{at}: not caught");
+                    assert_eq!(out, want, "{at}: not repaired");
+                    assert_eq!(seq_out, want, "{at}");
+                    assert_eq!(h, seq_h, "{at}: blamed differently");
+                    assert_eq!(h.shards[PRODUCERS1[slot]].lies, 1, "{at}: {h:?}");
+                }
+            }
+        }
+    }
+
+    /// With `verify: false` the pass only assembles: the pieces land in
+    /// place as they are, corrupted or not, and nothing is checked.
+    #[test]
+    fn unverified_pass_only_assembles() {
+        let ranges = partition(BIG, 3);
+        let (a, heads) = fixture(true);
+        let heads = heads.as_deref();
+        let totals: Vec<_> = ranges
+            .iter()
+            .map(|r| inline_total(ScanKind::Sum, &a, heads, r.clone()))
+            .collect();
+        let mut pieces = honest_pieces(ScanKind::Sum, &a, heads, &totals);
+        for flip in [false, true] {
+            if flip {
+                pieces[1][5] ^= 1;
+            }
+            let c = Claims {
+                kind: ScanKind::Sum,
+                data: &a,
+                heads,
+                ranges: &ranges,
+                totals: &totals,
+                carries: &[],
+                producers1: &PRODUCERS1,
+                producers2: &PRODUCERS2,
+            };
+            let mut out = vec![7; BIG];
+            let all: Vec<_> = pieces.iter().cloned().map(Some).collect();
+            assert!(assemble(&c, &all, &mut out, false, None).unwrap());
+            assert_eq!(out, pieces.concat(), "flip={flip}");
+        }
     }
 }

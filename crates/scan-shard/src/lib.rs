@@ -17,9 +17,12 @@
 //! What the executor guarantees under [`RecoveryPolicy::Recover`]:
 //! bit-equal output to the single-pool kernels whenever *any* compute
 //! path remains — lost ranges are re-executed on survivors with seeded
-//! backoff, then inline; lying shards are caught by an O(n) verify
-//! pass, fixed in place, and quarantined behind a
-//! [`scan_fault::Breaker`] until a probe run readmits them. Under
+//! backoff, then inline; lying shards are caught by the parallel pass
+//! that assembles the output and checks it as it goes, fixed in place
+//! by a sequential repair-and-blame loop that runs only when a check
+//! fails, and quarantined behind a [`scan_fault::Breaker`] until a
+//! probe run readmits them. Slot 0's shard scans straight into the
+//! returned buffer, so the output is written once. Under
 //! [`RecoveryPolicy::Fail`], the first loss surfaces as a typed
 //! [`ShardError`] instead.
 
@@ -30,6 +33,7 @@ pub mod combine;
 pub mod error;
 pub mod executor;
 pub mod health;
+mod assemble;
 mod pool;
 
 pub use error::{LossCause, ShardError};

@@ -52,7 +52,9 @@ pub(crate) enum Phase {
 pub(crate) enum Output {
     /// Reduce round: the range's pair total.
     Total((u64, bool)),
-    /// Scan round: the exclusive scan of the range.
+    /// Scan round: the exclusive scan of the range — a range-length
+    /// piece, or the job's [`Job::out`] buffer with the range written
+    /// in place.
     Scanned(Vec<u64>),
 }
 
@@ -71,6 +73,10 @@ pub(crate) struct Job {
     pub heads: Option<Arc<Vec<bool>>>,
     pub range: Range<usize>,
     pub phase: Phase,
+    /// The run's full-length output, sent with slot 0's first scan job
+    /// only. The shard scans its range into it in place and replies
+    /// with the same buffer; every other job replies with a piece.
+    pub out: Option<Vec<u64>>,
     /// Chaos event scheduled for this job (`None` when quiet).
     pub inject: ChaosEvent,
     pub deadline: Option<ScanDeadline>,
@@ -149,7 +155,7 @@ impl Drop for Shard {
 /// kill takes the shard down.
 fn shard_loop(threads: usize, rx: Receiver<Job>) {
     let pool = WorkerPool::new(threads);
-    for job in rx {
+    for mut job in rx {
         match job.inject {
             // Hard crash: exit without replying. The job's reply
             // channel closes, which is how the executor learns.
@@ -168,14 +174,15 @@ fn shard_loop(threads: usize, rx: Receiver<Job>) {
             _ => {}
         }
         let lie = matches!(job.inject, ChaosEvent::CarryCorrupt | ChaosEvent::Lie);
-        let result = execute(&pool, &job).map(|out| if lie { corrupt(out) } else { out });
+        let result = execute(&pool, &mut job).map(|out| if lie { corrupt(out) } else { out });
         let _ = job.reply.send(Reply { result });
     }
 }
 
 /// Flip one bit of the result — a lying shard. The corruption is
 /// minimal on purpose: the O(n) verifier must catch even a single
-/// flipped bit in a carry or an output element.
+/// flipped bit in a carry or an output element. (A returned buffer's
+/// first element is its range's first too: only slot 0 gets one.)
 fn corrupt(out: Output) -> Output {
     match out {
         Output::Total((v, f)) => Output::Total((v ^ 1, f)),
@@ -189,18 +196,34 @@ fn corrupt(out: Output) -> Output {
 }
 
 /// Run one job on the shard's pool.
-fn execute(pool: &WorkerPool, job: &Job) -> Result<Output, ExecError> {
+fn execute(pool: &WorkerPool, job: &mut Job) -> Result<Output, ExecError> {
     let kind = job.kind;
     let data = &job.data[..];
     let heads = job.heads.as_deref().map(Vec::as_slice);
     let deadline = job.deadline.as_ref();
+    let range = job.range.clone();
     match job.phase {
         Phase::Reduce => {
-            blocked_reduce(pool, kind, data, heads, job.range.clone(), deadline).map(Output::Total)
+            blocked_reduce(pool, kind, data, heads, range, deadline).map(Output::Total)
         }
         Phase::Scan { carry } => {
-            blocked_scan(pool, kind, data, heads, job.range.clone(), carry, deadline)
-                .map(Output::Scanned)
+            // Into the run's buffer when one came with the job, else
+            // into a fresh piece.
+            let (mut out, at) = match job.out.take() {
+                Some(buf) if buf.len() >= range.end => (buf, range.clone()),
+                _ => (vec![0; range.len()], 0..range.len()),
+            };
+            blocked_scan(
+                pool,
+                kind,
+                data,
+                heads,
+                range,
+                carry,
+                &mut out[at],
+                deadline,
+            )?;
+            Ok(Output::Scanned(out))
         }
     }
 }
@@ -246,10 +269,12 @@ fn blocked_reduce(
     Ok(total)
 }
 
-/// Exclusive scan of the range seeded with `carry`, blocked two-pass
-/// across the shard's pool: block totals, an exclusive pass over them,
-/// then per-block emission. A segment head emits the identity; any
-/// other element emits the pair state accumulated before it.
+/// Exclusive scan of the range seeded with `carry` into `out` (one
+/// slot per element of the range), blocked two-pass across the shard's
+/// pool: block totals, an exclusive pass over them, then per-block
+/// emission. A segment head emits the identity; any other element
+/// emits the pair state accumulated before it.
+#[allow(clippy::too_many_arguments)]
 fn blocked_scan(
     pool: &WorkerPool,
     kind: ScanKind,
@@ -257,18 +282,20 @@ fn blocked_scan(
     heads: Option<&[bool]>,
     range: Range<usize>,
     carry: (u64, bool),
+    out: &mut [u64],
     deadline: Option<&ScanDeadline>,
-) -> Result<Vec<u64>, ExecError> {
+) -> Result<(), ExecError> {
     let len = range.len();
-    let mut out = vec![0u64; len];
     if len == 0 {
-        return Ok(out);
+        return Ok(());
     }
     let id = (kind.identity(), false);
     let (block, nb) = blocking(pool, len);
-    // Pass 1: block pair totals.
-    let partials: Vec<Mutex<(u64, bool)>> = (0..nb).map(|_| Mutex::new(id)).collect();
-    pool.try_run(nb, deadline, |j| {
+    // Pass 1: pair totals of every block but the last, whose total no
+    // carry needs. A one-lane shard has one block and skips the pass:
+    // its carry is the shard's.
+    let partials: Vec<Mutex<(u64, bool)>> = (0..nb - 1).map(|_| Mutex::new(id)).collect();
+    pool.try_run(nb - 1, deadline, |j| {
         let lo = range.start + j * block;
         let hi = (lo + block).min(range.end);
         let mut acc = id;
@@ -280,26 +307,24 @@ fn blocked_scan(
     // Exclusive pass over block totals, seeded with the shard carry.
     let mut carries = Vec::with_capacity(nb);
     let mut state = carry;
+    carries.push(state);
     for p in &partials {
-        carries.push(state);
         state = pair_combine(kind, state, *lock(p));
+        carries.push(state);
     }
     // Pass 2: emit each block from its carry.
-    {
-        let chunks: Vec<Mutex<&mut [u64]>> = out.chunks_mut(block).map(Mutex::new).collect();
-        pool.try_run(nb, deadline, |j| {
-            let lo = range.start + j * block;
-            let hi = (lo + block).min(range.end);
-            let mut state = carries[j];
-            let mut chunk = lock(&chunks[j]);
-            for (k, g) in (lo..hi).enumerate() {
-                let e = load_pair(data, heads, g);
-                chunk[k] = if e.1 { kind.identity() } else { state.0 };
-                state = pair_combine(kind, state, e);
-            }
-        })?;
-    }
-    Ok(out)
+    let chunks: Vec<Mutex<&mut [u64]>> = out.chunks_mut(block).map(Mutex::new).collect();
+    pool.try_run(nb, deadline, |j| {
+        let lo = range.start + j * block;
+        let hi = (lo + block).min(range.end);
+        let mut state = carries[j];
+        let mut chunk = lock(&chunks[j]);
+        for (k, g) in (lo..hi).enumerate() {
+            let e = load_pair(data, heads, g);
+            chunk[k] = if e.1 { kind.identity() } else { state.0 };
+            state = pair_combine(kind, state, e);
+        }
+    })
 }
 
 #[cfg(test)]
@@ -318,7 +343,10 @@ mod tests {
             acc = pair_combine(kind, acc, load_pair(data, heads, g));
         }
         assert_eq!(total, acc);
-        blocked_scan(&pool, kind, data, heads, range, (kind.identity(), false), None).unwrap()
+        let mut out = vec![0; data.len()];
+        let carry = (kind.identity(), false);
+        blocked_scan(&pool, kind, data, heads, range, carry, &mut out, None).unwrap();
+        out
     }
 
     #[test]
@@ -357,9 +385,62 @@ mod tests {
         let pool = WorkerPool::new(1);
         let full = scan_core::scan::<Sum, _>(&data);
         let t0 = blocked_reduce(&pool, ScanKind::Sum, &data, None, 0..120, None).unwrap();
-        let tail =
-            blocked_scan(&pool, ScanKind::Sum, &data, None, 120..200, t0, None).unwrap();
+        let mut tail = vec![0; 80];
+        blocked_scan(
+            &pool,
+            ScanKind::Sum,
+            &data,
+            None,
+            120..200,
+            t0,
+            &mut tail,
+            None,
+        )
+        .unwrap();
         assert_eq!(tail[..], full[120..]);
+    }
+
+    #[test]
+    fn scan_job_fills_its_range_of_a_sent_buffer() {
+        use std::sync::mpsc;
+        use std::sync::Arc;
+
+        let mut shard = Shard::spawn(0, 2);
+        let data = Arc::new((1u64..=300).collect::<Vec<_>>());
+        let full = scan_core::scan::<Sum, _>(&data);
+        let scan = |shard: &mut Shard, out: Option<Vec<u64>>, inject| {
+            let (tx, rx) = mpsc::channel();
+            assert!(shard.send(Job {
+                kind: ScanKind::Sum,
+                data: Arc::clone(&data),
+                heads: None,
+                range: 0..100,
+                phase: Phase::Scan { carry: (0, false) },
+                out,
+                inject,
+                deadline: None,
+                reply: tx,
+            }));
+            match rx.recv().unwrap().result {
+                Ok(Output::Scanned(v)) => v,
+                other => panic!("expected a scan, got {other:?}"),
+            }
+        };
+
+        // The buffer comes back whole, written only in the job's range.
+        let got = scan(&mut shard, Some(vec![7; 300]), ChaosEvent::None);
+        assert_eq!(got[..100], full[..100]);
+        assert!(got[100..].iter().all(|&x| x == 7));
+        // A lie flips the range's first element, as it does a piece's.
+        let got = scan(&mut shard, Some(vec![7; 300]), ChaosEvent::CarryCorrupt);
+        assert_eq!(got[0], full[0] ^ 1);
+        // Without a buffer (or with one too short for the range) the
+        // reply is a range-length piece.
+        assert_eq!(scan(&mut shard, None, ChaosEvent::None), full[..100]);
+        assert_eq!(
+            scan(&mut shard, Some(vec![7; 50]), ChaosEvent::None),
+            full[..100]
+        );
     }
 
     #[test]
@@ -378,6 +459,7 @@ mod tests {
                 heads: None,
                 range: 0..data.len(),
                 phase: Phase::Reduce,
+                out: None,
                 inject,
                 deadline: None,
                 reply: tx,
